@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -100,6 +100,9 @@ class PointSet:
 
     points: np.ndarray
     label: str | None = None
+    # distance matrix per metric, filled on first use by weibsup.gamma; the
+    # points are immutable, so a stored matrix cannot go stale
+    _distances: dict[Metric, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
@@ -124,6 +127,15 @@ class PointSet:
         return int(self.points.shape[1])
 
 
+def _lp_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
+    """lp norm of ``x`` along ``axis``; every distance and norm here goes through it."""
+    if math.isinf(p):
+        return np.max(np.abs(x), axis=axis)
+    if p == 2.0:
+        return np.sqrt(np.sum(x * x, axis=axis))
+    return np.sum(np.abs(x) ** p, axis=axis) ** (1.0 / p)
+
+
 def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
     """Distance between two vectors under the given lp metric."""
     av = np.asarray(a, dtype=np.float64)
@@ -132,33 +144,20 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
         raise ValueError("distance expects 1-D vectors")
     if av.shape != bv.shape:
         raise ValueError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    diff = av - bv
-    if math.isinf(metric.p):
-        return float(np.max(np.abs(diff)))
-    if metric.p == 2.0:
-        return float(np.sqrt(np.sum(diff * diff)))
-    return float(np.sum(np.abs(diff) ** metric.p) ** (1.0 / metric.p))
+    # a one-row array: numpy's scalar power can differ in the last bit from its
+    # array loop, which the matrix and the norms use
+    return float(_lp_norm((av - bv)[None, :], metric.p, axis=1)[0])
 
 
 def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
     """Norm of each row of ``points`` under the metric's norm."""
-    pts = np.asarray(points, dtype=np.float64)
-    if math.isinf(metric.p):
-        return np.max(np.abs(pts), axis=1)
-    if metric.p == 2.0:
-        return np.sqrt(np.sum(pts * pts, axis=1))
-    return np.sum(np.abs(pts) ** metric.p, axis=1) ** (1.0 / metric.p)
+    return _lp_norm(np.asarray(points, dtype=np.float64), metric.p, axis=1)
 
 
 def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> np.ndarray:
     """Dense m-by-m distance matrix; fine at the set sizes used here."""
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    if math.isinf(metric.p):
-        return np.max(np.abs(diff), axis=2)
-    if metric.p == 2.0:
-        return np.sqrt(np.sum(diff * diff, axis=2))
-    return np.sum(np.abs(diff) ** metric.p, axis=2) ** (1.0 / metric.p)
+    return _lp_norm(pts[:, None, :] - pts[None, :, :], metric.p, axis=2)
 
 
 def diameter(pset: PointSet, subset: Sequence[int], metric: Metric) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,6 +77,16 @@ def _check_alpha(alpha: float) -> None:
 def _level_budget(n: int) -> int | None:
     """2^(2^n), or None once it exceeds any realistic cardinality."""
     return None if 2**n >= 64 else 2 ** (2**n)
+
+
+def _distance_matrix(pset: PointSet, metric: Metric) -> np.ndarray:
+    """The set's read-only distance matrix, built once per metric and kept on the set."""
+    dist = pset._distances.get(metric)
+    if dist is None:
+        dist = pairwise_distance_matrix(pset.points, metric)
+        dist.flags.writeable = False
+        pset._distances[metric] = dist
+    return dist
 
 
 def _cell_is_point(points: np.ndarray, cell: Sequence[int]) -> bool:
@@ -161,7 +171,7 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     zero diameter.
     """
     m = pset.m
-    dist = pairwise_distance_matrix(pset.points, metric)
+    dist = _distance_matrix(pset, metric)
     norms = point_norms(pset.points, metric)
     levels: list[tuple[tuple[int, ...], ...]] = [(tuple(range(m)),)]
 
@@ -206,29 +216,27 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     return PartitionTree(pointset=pset, levels=tuple(levels))
 
 
-def _per_point_level_sums(
-    tree: PartitionTree, weights_by_level: Sequence[float], dist: np.ndarray
-) -> np.ndarray:
-    m = tree.pointset.m
-    acc = np.zeros(m)
-    for level, w in zip(tree.levels, weights_by_level):
+def _sup_level_sum(tree: PartitionTree, cell_value: Callable[[int, tuple], float]) -> float:
+    """sup over t of sum_n cell_value(n, np.ix_ of A_n(t)); cells valued <= 0 add nothing."""
+    acc = np.zeros(tree.pointset.m)
+    for n, level in enumerate(tree.levels):
         for cell in level:
             if len(cell) > 1:
                 idx = np.asarray(cell, dtype=np.int64)
-                d = float(dist[np.ix_(idx, idx)].max())
-                if d > 0.0:
-                    acc[idx] += w * d
-    return acc
+                value = cell_value(n, np.ix_(idx, idx))
+                if value > 0.0:
+                    acc[idx] += value
+    return float(acc.max())
 
 
 def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaValue:
     """sup over points of sum_n 2^(n/alpha) * diam(A_n(t)) for this tree."""
     _check_alpha(alpha)
     validate_admissible(tree)
-    dist = pairwise_distance_matrix(tree.pointset.points, metric)
+    dist = _distance_matrix(tree.pointset, metric)
     weights = [2.0 ** (n / alpha) for n in range(len(tree.levels))]
-    acc = _per_point_level_sums(tree, weights, dist)
-    return GammaValue(alpha=alpha, value=float(acc.max()), method="greedy_upper")
+    value = _sup_level_sum(tree, lambda n, ix: weights[n] * float(dist[ix].max()))
+    return GammaValue(alpha=alpha, value=value, method="greedy_upper")
 
 
 def _best_partition_max_diam(dist: np.ndarray, max_blocks: int) -> tuple[float, list[int]]:
@@ -280,7 +288,7 @@ def gamma_exact_small(pset: PointSet, metric: Metric, alpha: float) -> GammaValu
     _check_alpha(alpha)
     if pset.m > 8:
         raise ValueError(f"exact enumeration is limited to m <= 8 points, got {pset.m}")
-    dist = pairwise_distance_matrix(pset.points, metric)
+    dist = _distance_matrix(pset, metric)
     whole = float(dist.max())
     if pset.m <= 4:
         return GammaValue(alpha=alpha, value=whole, method="exact_small")
@@ -301,7 +309,7 @@ def exact_small_tree(pset: PointSet, metric: Metric) -> PartitionTree:
         return PartitionTree(pset, (whole,))
     if m <= 4:
         return PartitionTree(pset, (whole, singletons))
-    dist = pairwise_distance_matrix(pset.points, metric)
+    dist = _distance_matrix(pset, metric)
     _, assign = _best_partition_max_diam(dist, 4)
     blocks: dict[int, list[int]] = {}
     for i, b in enumerate(assign):
@@ -317,7 +325,7 @@ def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
     radius from greedy farthest-point selection of N_n centers, N_0 = 1 and
     N_n = min(m, 2^(2^n))."""
     m = pset.m
-    dist = pairwise_distance_matrix(pset.points, metric)
+    dist = _distance_matrix(pset, metric)
     norms = point_norms(pset.points, metric)
     radii: list[float] = []
     first = int(np.argmax(norms))
@@ -346,7 +354,7 @@ def sudakov_lower(pset: PointSet, metric: Metric) -> GammaValue:
     eps * sqrt(log P(eps)), with P the greedy packing count at separation eps."""
     if pset.m < 2:
         return GammaValue(alpha=2.0, value=0.0, method="sudakov_lower")
-    dist = pairwise_distance_matrix(pset.points, metric)
+    dist = _distance_matrix(pset, metric)
     diam = float(dist.max())
     if diam == 0.0:
         return GammaValue(alpha=2.0, value=0.0, method="sudakov_lower")
@@ -354,11 +362,13 @@ def sudakov_lower(pset: PointSet, metric: Metric) -> GammaValue:
     eps = diam
     shrink = 2.0 ** -0.25
     for _ in range(48):
-        kept = [0]
+        # point 0 is kept, then each point at least eps from all kept before it
+        nearest = dist[:, 0].copy()
+        count = 1
         for i in range(1, pset.m):
-            if min(dist[i, j] for j in kept) >= eps:
-                kept.append(i)
-        count = len(kept)
+            if nearest[i] >= eps:
+                count += 1
+                np.minimum(nearest, dist[:, i], out=nearest)
         if count >= 2:
             best = max(best, eps * math.sqrt(math.log(count)))
         eps *= shrink
@@ -421,20 +431,11 @@ def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
     if tree.pointset is not pset and not np.array_equal(tree.pointset.points, pset.points):
         raise ValueError("tree does not partition the given point set")
     validate_admissible(tree)
-    d2 = pairwise_distance_matrix(pset.points, Metric.l2())
-    dinf = pairwise_distance_matrix(pset.points, Metric.linf())
-    acc = np.zeros(pset.m)
-    for k, level in enumerate(tree.levels):
-        w2 = 2.0 ** (k / 2.0)
-        winf = 2.0 ** (k / r)
-        for cell in level:
-            if len(cell) > 1:
-                idx = np.asarray(cell, dtype=np.int64)
-                block = w2 * d2[np.ix_(idx, idx)] + winf * dinf[np.ix_(idx, idx)]
-                d = float(block.max())
-                if d > 0.0:
-                    acc[idx] += d
-    return float(acc.max())
+    d2 = _distance_matrix(pset, Metric.l2())
+    dinf = _distance_matrix(pset, Metric.linf())
+    return _sup_level_sum(
+        tree, lambda k, ix: float((2.0 ** (k / 2.0) * d2[ix] + 2.0 ** (k / r) * dinf[ix]).max())
+    )
 
 
 def tree_to_jsonable(tree: PartitionTree) -> list[list[list[int]]]:

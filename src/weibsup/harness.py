@@ -11,7 +11,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -317,6 +317,14 @@ def _ratio(numerator: float, denominator: float, noise: float = 0.0) -> float | 
     return numerator / denominator
 
 
+def _instance_grid(cfg: RunConfig) -> Iterator[tuple[InstanceFamily, float, RandomStream]]:
+    """(family, r, stream) for every instance of a verify experiment, in report order."""
+    root = RandomStream(cfg.seed)
+    for i, fam in enumerate(cfg.families):
+        for j, r in enumerate(cfg.r_values):
+            yield fam, r, root.child(i).child(j)
+
+
 def _main_bound_instance(
     fam: InstanceFamily,
     r: float,
@@ -354,11 +362,9 @@ def _main_bound_instance(
 
 def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     """Ratio esup / E_pi gamma_2(T_pi) per instance, flagged against the window."""
-    root = RandomStream(cfg.seed)
     return [
-        _main_bound_instance(fam, r, cfg, root.child(i).child(j), workers)
-        for i, fam in enumerate(cfg.families)
-        for j, r in enumerate(cfg.r_values)
+        _main_bound_instance(fam, r, cfg, stream, workers)
+        for fam, r, stream in _instance_grid(cfg)
     ]
 
 
@@ -417,11 +423,9 @@ def _r1_bound_instance(
 
 def verify_r1_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     """Compare esup to gamma_2(T,d_2) + gamma_r(T,d_inf) and to E_pi gamma_2(T_pi)."""
-    root = RandomStream(cfg.seed)
     return [
-        _r1_bound_instance(fam, r, cfg, root.child(i).child(j), workers)
-        for i, fam in enumerate(cfg.families)
-        for j, r in enumerate(cfg.r_values)
+        _r1_bound_instance(fam, r, cfg, stream, workers)
+        for fam, r, stream in _instance_grid(cfg)
     ]
 
 
@@ -674,7 +678,6 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
 
     reports: list[BoundReport] = []
     failed = False
-    root = RandomStream(cfg.seed)
     if cfg.name == "counterexample":
         try:
             reports = _counterexample_from_config(cfg)
@@ -683,26 +686,20 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
             return 2
     else:
         instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
-        for i, fam in enumerate(cfg.families):
-            for j, r in enumerate(cfg.r_values):
-                try:
-                    reports.append(instance_fn(fam, r, cfg, root.child(i).child(j), workers))
-                except Exception as exc:  # persist partial results with a marker
-                    failed = True
-                    reports.append(
-                        BoundReport(
-                            instance=fam.descriptor(),
-                            r=r,
-                            flags={"run": "error"},
-                            quantities={},
-                            ratios={},
-                            seed=cfg.seed,
-                        )
+        for fam, r, stream in _instance_grid(cfg):
+            try:
+                reports.append(instance_fn(fam, r, cfg, stream, workers))
+            except Exception as exc:  # persist partial results with a marker
+                failed = True
+                reports.append(
+                    BoundReport(
+                        instance=fam.descriptor(),
+                        r=r,
+                        flags={"run": "error", "error_message": f"{type(exc).__name__}: {exc}"},
+                        seed=cfg.seed,
                     )
-                    reports[-1].flags["error_message"] = f"{type(exc).__name__}: {exc}"
-                    print(
-                        f"error: instance {fam.descriptor()} r={r}: {exc}", file=sys.stderr
-                    )
+                )
+                print(f"error: instance {fam.descriptor()} r={r}: {exc}", file=sys.stderr)
 
     out_path = cfg.out or f"{cfg.name}_report.json"
     write_reports_json(reports, out_path, _config_echo(cfg))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weibsup.core import (
@@ -13,6 +13,7 @@ from weibsup.core import (
     distance,
     load_points_csv,
     pairwise_distance_matrix,
+    point_norms,
     write_points_csv,
 )
 
@@ -87,6 +88,33 @@ class TestDistance:
     def test_symmetry(self, data, p):
         a, b = data
         assert distance(a, b, Metric(p)) == distance(b, a, Metric(p))
+
+
+class TestKernelAgreement:
+    @settings(max_examples=50)
+    @given(
+        data=st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(finite_floats, min_size=n, max_size=n),
+                st.lists(finite_floats, min_size=n, max_size=n),
+            )
+        ),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+    )
+    # numpy's scalar power rounds this one differently from its array loop
+    @example(data=([343389.59666920826], [1.0]), p=1.5)
+    def test_distance_norms_and_matrix_agree_bitwise(self, data, p):
+        a, b = data
+        metric = Metric(p)
+        assert pairwise_distance_matrix(np.array([a, b]), metric)[0, 1] == distance(a, b, metric)
+        norms = point_norms(np.array([a, b]), metric)
+        zero = [0.0] * len(a)
+        assert norms[0] == distance(a, zero, metric)
+        assert norms[1] == distance(b, zero, metric)
+        # duplicate rows are exactly zero apart, as are a point and itself
+        mat = pairwise_distance_matrix(np.array([a, b, a]), metric)
+        assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
+        assert np.all(np.diag(mat) == 0.0)
 
 
 class TestDiameter:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from weibsup.core import Metric, PointSet, RandomStream, diameter
+import weibsup.gamma
+from weibsup.core import Metric, PointSet, RandomStream, diameter, pairwise_distance_matrix
 from weibsup.gamma import (
     GammaValue,
     NotAdmissibleError,
@@ -21,6 +22,7 @@ from weibsup.gamma import (
     tree_to_jsonable,
     validate_admissible,
 )
+from weibsup.transforms import epi_gamma2
 
 L2 = Metric.l2()
 LINF = Metric.linf()
@@ -210,6 +212,73 @@ class TestSudakov:
         ps = random_set(63, 20, 4)
         scaled = PointSet(ps.points * 2.0)
         assert sudakov_lower(scaled, L2).value == 2.0 * sudakov_lower(ps, L2).value
+
+    def test_matches_pairwise_packing_loop(self):
+        # the packing scan as first written, kept as the reference
+        def reference(pset, metric):
+            dist = pairwise_distance_matrix(pset.points, metric)
+            diam = float(dist.max())
+            if pset.m < 2 or diam == 0.0:
+                return 0.0
+            best, eps = 0.0, diam
+            for _ in range(48):
+                kept = [0]
+                for i in range(1, pset.m):
+                    if min(dist[i, j] for j in kept) >= eps:
+                        kept.append(i)
+                if len(kept) >= 2:
+                    best = max(best, eps * math.sqrt(math.log(len(kept))))
+                eps *= 2.0 ** -0.25
+            return best
+
+        rng = np.random.default_rng(64)
+        for _ in range(12):
+            m, n = int(rng.integers(2, 48)), int(rng.integers(1, 6))
+            distinct = rng.standard_normal((int(rng.integers(1, m + 1)), n))
+            corners = rng.choice([-1.0, 1.0], size=(m, n))
+            for pts in (distinct[rng.integers(0, len(distinct), size=m)], corners):
+                ps = PointSet(pts)
+                for metric in (L2, LINF, Metric(1.5)):
+                    assert sudakov_lower(ps, metric).value == reference(ps, metric)
+
+
+class TestDistanceMatrixReuse:
+    @staticmethod
+    def count_builds(monkeypatch) -> list[np.ndarray]:
+        built: list[np.ndarray] = []
+        original = weibsup.gamma.pairwise_distance_matrix
+
+        def counting(points, metric):
+            built.append(original(points, metric))
+            return built[-1]
+
+        monkeypatch.setattr(weibsup.gamma, "pairwise_distance_matrix", counting)
+        return built
+
+    def test_one_build_per_metric_for_trees_gammas_and_chaining(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        ps = random_set(90, 40, 5)
+        tree_l2 = build_greedy_tree(ps, L2)
+        tree_linf = build_greedy_tree(ps, LINF)
+        gamma_from_tree(tree_l2, 2.0, L2)
+        gamma_from_tree(tree_linf, 1.5, LINF)
+        chaining_bound(ps, 1.5, intersect_trees(tree_l2, tree_linf))
+        dudley_bound(ps, L2)
+        sudakov_lower(ps, LINF)
+        assert len(built) == 2
+        small = random_set(91, 8, 3)
+        gamma_exact_small(small, L2, 2.0)
+        exact_small_tree(small, L2)
+        assert len(built) == 3
+        for dist in built:
+            assert not dist.flags.writeable
+            with pytest.raises(ValueError):
+                dist[0, 0] = 1.0
+
+    def test_one_build_per_permuted_set(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        epi_gamma2(random_set(92, 24, 6), 2.0, 5, "greedy_upper", RandomStream(9))
+        assert len(built) == 5
 
 
 class TestGaussianProxy:
