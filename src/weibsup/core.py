@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +58,18 @@ class RandomStream:
             raise ValueError("child index must be nonnegative")
         mixed = _splitmix64(((self.substream * 0x9E3779B97F4A7C15) + index + 1) & _MASK64)
         return RandomStream(self.seed, mixed)
+
+
+def _ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """[fn(x) for x in items], on a pool of ``workers`` threads when workers > 1.
+
+    Results keep the order of ``items``, so callers that merge them in that
+    order get the same bits for any worker count.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)

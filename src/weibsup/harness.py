@@ -29,7 +29,7 @@ from .laws import (
     lp_norm_moment_bound,
 )
 from .mcsup import Driver, _mc_mean, esup_mc, esup_permuted_weighted
-from .transforms import epi_gamma2, weights
+from .transforms import _EPI_METHODS, epi_gamma2, weights
 
 __all__ = [
     "ConfigError",
@@ -54,11 +54,45 @@ DEFAULT_NUM_PERMS = 20
 
 _FAMILY_KINDS = ("hypercube_subset", "gaussian_cloud", "scaled_basis", "csv_file")
 _DECAYS = ("harmonic", "sqrt", "none")
-_EXPERIMENTS = ("main_bound", "r1_bound", "counterexample")
+# r range of each experiment, as (lo, hi, closed): the range its bound is stated on
+_R_RANGES = {
+    "main_bound": (0.0, 2.0, False),
+    "r1_bound": (1.0, 2.0, True),
+    "counterexample": (0.0, 1.0, False),
+}
+_EXPERIMENTS = tuple(_R_RANGES)
 
 
 class ConfigError(ValueError):
     """A run configuration is malformed."""
+
+
+def _check_r(experiment: str, r: float) -> None:
+    lo, hi, closed = _R_RANGES[experiment]
+    if not (lo <= r <= hi if closed else lo < r < hi):
+        interval = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
+        raise ConfigError(f"{experiment} needs r in {interval}, got {r}")
+
+
+def _typed(data: dict[str, Any], key: str, kinds: tuple[type, ...], default: Any = None) -> Any:
+    """data[key], or ``default`` when absent; a present value must be one of ``kinds``.
+
+    JSON booleans are not numbers here, although Python's bool is an int.
+    """
+    if key not in data:
+        return default
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ConfigError(f"{key} must be of type {names}, got {value!r}")
+    return value
+
+
+def _numbers(data: dict[str, Any], key: str, default: Any = None) -> tuple[float, ...]:
+    values = _typed(data, key, (list,), default)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(float(x) for x in values)
 
 
 @dataclass(frozen=True)
@@ -145,14 +179,15 @@ class InstanceFamily:
             raise ConfigError(f"unknown family keys: {sorted(unknown)}")
         if "kind" not in data:
             raise ConfigError("family entry is missing 'kind'")
+        optional_int = (int, type(None))
         return cls(
             kind=data["kind"],
-            seed=int(data.get("seed", default_seed)),
-            n=data.get("n"),
-            m=data.get("m"),
-            scale=data.get("scale"),
+            seed=_typed(data, "seed", (int,), default_seed),
+            n=_typed(data, "n", optional_int),
+            m=_typed(data, "m", optional_int),
+            scale=_typed(data, "scale", (int, float, type(None))),
             decay=data.get("decay"),
-            path=data.get("path"),
+            path=_typed(data, "path", (str, type(None))),
         )
 
     @classmethod
@@ -228,25 +263,33 @@ class RunConfig:
         for key in ("name", "families", "r_values"):
             if key not in data:
                 raise ConfigError(f"config is missing required key {key!r}")
-        seed = int(data.get("seed", 0))
+        seed = _typed(data, "seed", (int,), 0)
         families = tuple(
             InstanceFamily.from_dict(entry, default_seed=seed + i)
-            for i, entry in enumerate(data["families"])
+            for i, entry in enumerate(_typed(data, "families", (list,)))
         )
-        window = tuple(float(x) for x in data.get("window", DEFAULT_WINDOW))
+        window = _numbers(data, "window", DEFAULT_WINDOW)
         if len(window) != 2:
             raise ConfigError("window must have exactly two entries")
-        return cls(
+        gamma_method = data.get("gamma_method", "greedy_upper")
+        if gamma_method not in _EPI_METHODS:
+            raise ConfigError(
+                f"unknown gamma_method {gamma_method!r}; expected one of {_EPI_METHODS}"
+            )
+        cfg = cls(
             name=data["name"],
             families=families,
-            r_values=tuple(float(r) for r in data["r_values"]),
-            samples=int(data.get("samples", DEFAULT_SAMPLES)),
-            num_perms=int(data.get("num_perms", DEFAULT_NUM_PERMS)),
-            gamma_method=data.get("gamma_method", "greedy_upper"),
+            r_values=_numbers(data, "r_values"),
+            samples=_typed(data, "samples", (int,), DEFAULT_SAMPLES),
+            num_perms=_typed(data, "num_perms", (int,), DEFAULT_NUM_PERMS),
+            gamma_method=gamma_method,
             window=window,  # type: ignore[arg-type]
             seed=seed,
-            out=data.get("out"),
+            out=_typed(data, "out", (str, type(None))),
         )
+        for r in cfg.r_values:
+            _check_r(cfg.name, r)
+        return cfg
 
 
 @dataclass
@@ -332,8 +375,7 @@ def _main_bound_instance(
     stream: RandomStream,
     workers: int = 1,
 ) -> BoundReport:
-    if not 0.0 < r < 2.0:
-        raise ConfigError(f"main-bound verification needs r in (0, 2), got {r}")
+    _check_r("main_bound", r)
     started = time.perf_counter()
     pset = fam.materialize()
     est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
@@ -375,8 +417,7 @@ def _r1_bound_instance(
     stream: RandomStream,
     workers: int = 1,
 ) -> BoundReport:
-    if not 1.0 <= r <= 2.0:
-        raise ConfigError(f"r1 verification needs r in [1, 2], got {r}")
+    _check_r("r1_bound", r)
     started = time.perf_counter()
     pset = fam.materialize()
     est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
@@ -437,8 +478,7 @@ def counterexample_run(r: float, n_list: Sequence[int]) -> list[BoundReport]:
     points, forcing gamma_r(T, d_inf) > 2 * 2^(k/r) > 2^(1-1/r) n^((r+1)/(2r)).
     The simplified ratio grows like n^((r+1)/(2r) - 1), strictly in n.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"the counter-example needs r in (0, 1), got {r}")
+    _check_r("counterexample", r)
     reports: list[BoundReport] = []
     previous: float | None = None
     for n in n_list:
@@ -668,8 +708,8 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
             f"error: {config_path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr
         )
         return 2
-    if overrides:
-        data = dict(data) | {k: v for k, v in overrides.items() if v is not None}
+    if overrides and isinstance(data, dict):  # any other root is rejected below
+        data = data | {k: v for k, v in overrides.items() if v is not None}
     try:
         cfg = RunConfig.from_dict(data)
     except ConfigError as exc:

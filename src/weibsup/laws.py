@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .core import RandomStream
 
@@ -169,6 +168,8 @@ def product_tail(r: float, t: float, quadrature_tol: float = 1e-8) -> float:
         raise ValueError("quadrature tolerance must be positive")
     if t == 0.0:
         return 1.0
+    from scipy import integrate
+
     s = conjugate_exponent(r)
     u_max = math.log(10.0 / quadrature_tol)
     sqrt2 = math.sqrt(2.0)
@@ -209,6 +210,8 @@ def coupled_quantiles(
         raise ValueError(f"r must lie in (0, 2), got {r}")
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {u}")
+    from scipy import optimize
+
     x = (-math.log1p(-u)) ** (1.0 / r)
     target = 1.0 - u
 

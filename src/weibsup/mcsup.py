@@ -6,21 +6,20 @@ Sampling is chunked with one substream per chunk and a fixed merge order,
 so estimates are bit-identical for any worker count.
 
 Order-statistic probes evaluate P(Y*_k >= u) in closed form: the count of
-magnitudes above u is Binomial(n, exp(-u^s)), so the tail is a binomial
-survival function.
+magnitudes above u is Binomial(n, q) with q = exp(-u^s), so the tail is a
+binomial survival function, computed as the regularized incomplete beta
+I_q(k, n-k+1).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
-from .core import PointSet, RandomStream
+from .core import PointSet, RandomStream, _ordered_map
 from .laws import abs_weibull, conjugate_exponent, symmetric_weibull
 
 __all__ = [
@@ -55,10 +54,11 @@ _DRIVER_KINDS = ("gaussian", "rademacher", "weibull", "cond_gaussian")
 class Driver:
     """Law of the independent driving vector (X_1, ..., X_n).
 
-    ``cond_gaussian`` samples the rearrangement representation: per draw,
-    n magnitudes with tail exp(-t^s) are sorted non-increasingly into Y*,
-    and the coefficient of coordinate j is g_j * Y*_{pi^{-1}(j)} for fresh
-    Gaussians g and a uniform permutation pi.
+    ``cond_gaussian`` draws g_j * Y_j with i.i.d. magnitudes Y_j of tail
+    exp(-t^s) and independent Gaussians g: equal in law to the rearrangement
+    representation g_j * Y*_{pi^{-1}(j)}, because i.i.d. magnitudes are
+    exchangeable, so their non-increasing rearrangement moved by an
+    independent uniform permutation is again i.i.d.
     """
 
     kind: str
@@ -99,14 +99,8 @@ class Driver:
             return rng.integers(0, 2, size=(count, n)).astype(np.float64) * 2.0 - 1.0
         if self.kind == "weibull":
             return symmetric_weibull(rng, self.r, (count, n))
-        # cond_gaussian: magnitudes, rearrangement, fresh Gaussians, permutation
-        s = conjugate_exponent(self.r)
-        mags = abs_weibull(rng, s, (count, n))
-        ystar = -np.sort(-mags, axis=1)
-        g = rng.standard_normal((count, n))
-        perm = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-        inv = np.argsort(perm, axis=1)
-        return g * np.take_along_axis(ystar, inv, axis=1)
+        mags = abs_weibull(rng, conjugate_exponent(self.r), (count, n))
+        return rng.standard_normal((count, n)) * mags
 
     def describe(self) -> str:
         return self.kind if self.r is None else f"{self.kind}(r={self.r:g})"
@@ -158,13 +152,7 @@ def _mc_mean(
             raise NonFiniteSampleError(f"draw {start + bad} produced a non-finite value")
         return float(vals.sum()), float(np.square(vals).sum())
 
-    items = list(enumerate(plan))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, items))
-    else:
-        partials = [run_chunk(item) for item in items]
-
+    partials = _ordered_map(run_chunk, enumerate(plan), workers)
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     mean = total / samples
@@ -213,7 +201,10 @@ def esup_permuted_weighted(
     """E sup_t sum_{k <= prefix_len} t_{pi(k)} g_{pi(k)} a_k for fixed weights a.
 
     Draws (g, pi) identically for every prefix length, so estimates at
-    different prefixes from the same stream share their randomness.
+    different prefixes from the same stream share their randomness.  Each
+    draw gives coordinate j the coefficient g_j * a_{pi(j)}, not the
+    g_j * a_{pi^{-1}(j)} of the sum above: pi is uniform, so a(pi) and
+    a(pi^{-1}) have the same law.
     """
     a = np.asarray(weights, dtype=np.float64)
     n = pset.dim
@@ -226,9 +217,7 @@ def esup_permuted_weighted(
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         g = rng.standard_normal((count, n))
-        perm = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-        inv = np.argsort(perm, axis=1)
-        coeff = g * masked[inv]
+        coeff = g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
         return (coeff @ points_t).max(axis=1)
 
     mean, stderr = _mc_mean(values, samples, stream, workers)
@@ -257,8 +246,10 @@ def order_stat_tail(n: int, s: float, k: int, u: float) -> float:
         raise ValueError(f"tail exponent must be positive, got {s}")
     if u < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {u}")
+    from scipy.special import betainc
+
     q = math.exp(-(u**s))
-    return float(stats.binom.sf(k - 1, n, q))
+    return float(betainc(k, n - k + 1, q))
 
 
 @dataclass(frozen=True)

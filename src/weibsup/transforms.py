@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream
+from .core import Metric, PointSet, RandomStream, _ordered_map
 from .gamma import build_greedy_tree, gamma_exact_small, gamma_from_tree, gaussian_gamma2_proxy
 
 __all__ = [
@@ -106,12 +105,7 @@ def epi_gamma2(
             return gamma_exact_small(transformed, l2, 2.0).value
         return gaussian_gamma2_proxy(transformed, samples, stream.child(i)).value
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(evaluate, range(num_perms)))
-    else:
-        values = [evaluate(i) for i in range(num_perms)]
-
+    values = _ordered_map(evaluate, range(num_perms), workers)
     mean = math.fsum(values) / num_perms
     vmax, vmin = max(values), min(values)
     if vmax == 0.0:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,3 +165,18 @@ def test_verify_malformed(tmp_path):
 
 def test_bad_family_spec():
     assert main(["simulate", "--family", "wat(1)", "--driver", "gaussian"]) == 2
+
+
+def test_import_loads_no_scipy():
+    import weibsup
+
+    src = os.path.dirname(os.path.dirname(weibsup.__file__))
+    code = (
+        "import sys, weibsup, weibsup.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

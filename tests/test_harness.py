@@ -1,10 +1,12 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weibsup.cli import main as cli_main
 from weibsup.core import RandomStream
 from weibsup.harness import (
     BoundReport,
@@ -22,6 +24,8 @@ from weibsup.harness import (
     write_reports_csv,
     write_reports_json,
 )
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 class TestInstanceFamily:
@@ -350,6 +354,40 @@ class TestRunAndPersistence:
         cfg = {"name": "main_bound", "families": [], "r_values": [1], "bogus": True}
         assert run(self.write_cfg(tmp_path, cfg)) == 2
 
+    def assert_rejected(self, tmp_path, monkeypatch, capsys, data, message):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_cfg(tmp_path, data)
+        assert run(path, overrides={"out": "report.json"}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_array_root_config(self, tmp_path, monkeypatch, capsys):
+        data = [{"name": "main_bound", "families": [], "r_values": [0.5]}]
+        self.assert_rejected(tmp_path, monkeypatch, capsys, data, "root must be a JSON object")
+
+    def test_scalar_r_values(self, tmp_path, monkeypatch, capsys):
+        data = {"name": "main_bound", "families": [], "r_values": 0.5}
+        self.assert_rejected(tmp_path, monkeypatch, capsys, data, "r_values must be")
+
+    def test_unknown_gamma_method(self, tmp_path, monkeypatch, capsys):
+        data = {
+            "name": "main_bound",
+            "families": [{"kind": "gaussian_cloud", "n": 4, "m": 8}],
+            "r_values": [0.5],
+            "gamma_method": "nonsense",
+        }
+        self.assert_rejected(tmp_path, monkeypatch, capsys, data, "unknown gamma_method")
+
+    @pytest.mark.parametrize("name, r", [("main_bound", 2.5), ("r1_bound", 0.5)])
+    def test_r_outside_experiment_range(self, tmp_path, monkeypatch, capsys, name, r):
+        data = {
+            "name": name,
+            "families": [{"kind": "gaussian_cloud", "n": 4, "m": 8}],
+            "r_values": [1.0, r],
+        }
+        self.assert_rejected(tmp_path, monkeypatch, capsys, data, "needs r in")
+
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "nope.json")) == 2
 
@@ -407,3 +445,11 @@ class TestShippedConfigs:
         doc = json.loads(out.read_text())
         ratios = [r["ratios"]["simplified_lower_over_esup"] for r in doc["reports"]]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_validates_and_runs(self, path, tmp_path):
+        RunConfig.from_dict(json.loads(path.read_text()))
+        out = tmp_path / "report.json"
+        args = ["verify", "--config", str(path), "--samples", "200", "--perms", "2"]
+        assert cli_main(args + ["--out", str(out)]) == 0
+        assert out.exists()

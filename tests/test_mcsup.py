@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from weibsup.core import PointSet, RandomStream
 from weibsup.laws import conjugate_exponent
@@ -166,6 +167,13 @@ class TestPermutedWeighted:
             esup_permuted_weighted(ps, np.ones(3), 2, 100, RandomStream(0))
 
 
+@st.composite
+def _tail_cases(draw):
+    n = draw(st.integers(1, 5000))
+    k = draw(st.integers(1, n))
+    return n, draw(st.floats(0.1, 8.0)), k, draw(st.floats(0.0, 10.0))
+
+
 class TestOrderStatTail:
     def test_u_zero(self):
         assert order_stat_tail(5, 2.0, 3, 0.0) == 1.0
@@ -195,6 +203,18 @@ class TestOrderStatTail:
             freq = float((ystar[:, k - 1] >= u).mean())
             se = math.sqrt(exact * (1.0 - exact) / draws)
             assert abs(freq - exact) < 3.0 * se
+
+    @given(_tail_cases())
+    @example((1, 2.0, 1, 0.7))  # n = 1
+    @example((50, 1.5, 1, 1.2))  # k = 1
+    @example((50, 1.5, 50, 0.3))  # k = n
+    @example((50, 2.0, 10, 0.0))  # q = 1
+    @example((50, 2.0, 10, 40.0))  # q = 0
+    @settings(max_examples=300, deadline=None)
+    def test_matches_binomial_survival_bitwise(self, case):
+        n, s, k, u = case
+        reference = float(stats.binom.sf(k - 1, n, math.exp(-(u**s))))
+        assert order_stat_tail(n, s, k, u) == reference
 
     def test_domain(self):
         with pytest.raises(ValueError):
