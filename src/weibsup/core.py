@@ -140,15 +140,6 @@ class PointSet:
         return int(self.points.shape[1])
 
 
-def _lp_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
-    """lp norm of ``x`` along ``axis``; every distance and norm here goes through it."""
-    if math.isinf(p):
-        return np.max(np.abs(x), axis=axis)
-    if p == 2.0:
-        return np.sqrt(np.sum(x * x, axis=axis))
-    return np.sum(np.abs(x) ** p, axis=axis) ** (1.0 / p)
-
-
 def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
     """Distance between two vectors under the given lp metric."""
     av = np.asarray(a, dtype=np.float64)
@@ -159,18 +150,26 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
         raise ValueError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
     # a one-row array: numpy's scalar power can differ in the last bit from its
     # array loop, which the matrix and the norms use
-    return float(_lp_norm((av - bv)[None, :], metric.p, axis=1)[0])
+    return float(point_norms((av - bv)[None, :], metric)[0])
 
 
 def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
-    """Norm of each row of ``points`` under the metric's norm."""
-    return _lp_norm(np.asarray(points, dtype=np.float64), metric.p, axis=1)
+    """Norm of each row of ``points`` under the metric's norm; every distance here is one."""
+    x = np.asarray(points, dtype=np.float64)
+    if math.isinf(metric.p):
+        return np.max(np.abs(x), axis=1)
+    if metric.p == 2.0:
+        return np.sqrt(np.sum(x * x, axis=1))
+    return np.sum(np.abs(x) ** metric.p, axis=1) ** (1.0 / metric.p)
 
 
 def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> np.ndarray:
-    """Dense m-by-m distance matrix; fine at the set sizes used here."""
+    """Dense m-by-m distance matrix, built one row at a time in O(m^2) memory."""
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
-    return _lp_norm(pts[:, None, :] - pts[None, :, :], metric.p, axis=2)
+    out = np.empty((pts.shape[0], pts.shape[0]))
+    for i in range(pts.shape[0]):
+        out[i] = point_norms(pts[i] - pts, metric)
+    return out
 
 
 def diameter(pset: PointSet, subset: Sequence[int], metric: Metric) -> float:

@@ -138,24 +138,34 @@ def validate_admissible(tree: PartitionTree) -> None:
             )
 
 
+def _farthest_points(
+    dist: np.ndarray, norms: np.ndarray, k: int
+) -> tuple[list[int], list[float]]:
+    """Gonzalez's greedy k-center: up to k centers and the covering radius after each.
+
+    The first center is the max-norm point, each next one the point farthest
+    from the centers so far; ties break to the lowest index (argmax returns
+    the first maximizer).  Selection stops early once the radius is 0.
+    """
+    centers = [int(np.argmax(norms))]
+    min_dist = dist[centers[0]].copy()
+    far = int(np.argmax(min_dist))
+    radii = [float(min_dist[far])]
+    while len(centers) < k and radii[-1] > 0.0:
+        centers.append(far)
+        np.minimum(min_dist, dist[far], out=min_dist)
+        far = int(np.argmax(min_dist))
+        radii.append(float(min_dist[far]))
+    return centers, radii
+
+
 def _kcenter_split(
     cell: tuple[int, ...], k: int, dist: np.ndarray, norms: np.ndarray
 ) -> list[tuple[int, ...]]:
-    """Split one cell into at most k children by greedy farthest-point centers.
-
-    The first center is the max-norm point; ties break to the lowest index
-    (cells are sorted, argmax returns the first maximizer).
-    """
+    """Split one cell into at most k children around its farthest-point centers."""
     idx = np.asarray(cell, dtype=np.int64)
     sub = dist[np.ix_(idx, idx)]
-    centers = [int(np.argmax(norms[idx]))]
-    min_dist = sub[centers[0]].copy()
-    while len(centers) < k:
-        far = int(np.argmax(min_dist))
-        if min_dist[far] == 0.0:
-            break
-        centers.append(far)
-        np.minimum(min_dist, sub[far], out=min_dist)
+    centers, _ = _farthest_points(sub, norms[idx], k)
     assign = np.argmin(sub[:, centers], axis=1)
     return [tuple(int(i) for i in idx[assign == ci]) for ci in range(len(centers))]
 
@@ -174,19 +184,15 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     dist = _distance_matrix(pset, metric)
     norms = point_norms(pset.points, metric)
     levels: list[tuple[tuple[int, ...], ...]] = [(tuple(range(m)),)]
-
-    def done(level: tuple[tuple[int, ...], ...]) -> bool:
-        return all(_cell_is_point(pset.points, cell) for cell in level)
-
-    n = 1
-    while not done(levels[-1]) and n < _MAX_LEVELS:
+    for n in range(1, _MAX_LEVELS):
         cells = levels[-1]
+        is_point = [_cell_is_point(pset.points, cell) for cell in cells]
+        if all(is_point):
+            break
         hard = _level_budget(n)
         target = m if hard is None else -(-hard // len(cells))
         # a zero-diameter cell cannot split; it takes exactly one slot
-        sizes = [
-            1 if _cell_is_point(pset.points, cell) else len(cell) for cell in cells
-        ]
+        sizes = [1 if point else len(cell) for cell, point in zip(cells, is_point)]
         allocs = [min(size, target) for size in sizes]
         total = sum(allocs)
         if hard is not None and total > hard:
@@ -206,13 +212,12 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
                 allocs[best] += 1
                 total += 1
         new_level: list[tuple[int, ...]] = []
-        for cell, alloc in zip(cells, allocs):
-            if alloc <= 1 or _cell_is_point(pset.points, cell):
+        for cell, alloc, point in zip(cells, allocs, is_point):
+            if alloc <= 1 or point:
                 new_level.append(cell)
             else:
                 new_level.extend(_kcenter_split(cell, alloc, dist, norms))
         levels.append(tuple(new_level))
-        n += 1
     return PartitionTree(pointset=pset, levels=tuple(levels))
 
 
@@ -325,17 +330,9 @@ def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
     radius from greedy farthest-point selection of N_n centers, N_0 = 1 and
     N_n = min(m, 2^(2^n))."""
     m = pset.m
-    dist = _distance_matrix(pset, metric)
-    norms = point_norms(pset.points, metric)
-    radii: list[float] = []
-    first = int(np.argmax(norms))
-    min_dist = dist[first].copy()
-    radii.append(float(min_dist.max()))
-    while radii[-1] > 0.0 and len(radii) < m:
-        far = int(np.argmax(min_dist))
-        np.minimum(min_dist, dist[far], out=min_dist)
-        radii.append(float(min_dist.max()))
-
+    _, radii = _farthest_points(
+        _distance_matrix(pset, metric), point_norms(pset.points, metric), m
+    )
     total = 0.0
     n = 0
     while n < _MAX_LEVELS:
@@ -412,14 +409,16 @@ def intersect_trees(a: PartitionTree, b: PartitionTree) -> PartitionTree:
             break
         pa = a.levels[min(n - 1, len(a.levels) - 1)]
         pb = b.levels[min(n - 1, len(b.levels) - 1)]
-        cells: list[tuple[int, ...]] = []
-        for cell_a in pa:
-            set_a = set(cell_a)
-            for cell_b in pb:
-                inter = sorted(set_a.intersection(cell_b))
-                if inter:
-                    cells.append(tuple(inter))
-        levels.append(tuple(cells))
+        # one key per point, ordered as (cell in A, cell in B); a stable sort
+        # keeps the points of each intersection in ascending order
+        key = np.empty(m, dtype=np.int64)
+        for ci, cell in enumerate(pa):
+            key[list(cell)] = ci * len(pb)
+        for ci, cell in enumerate(pb):
+            key[list(cell)] += ci
+        order = np.argsort(key, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+        levels.append(tuple(tuple(group.tolist()) for group in groups))
     return PartitionTree(pointset=pset, levels=tuple(levels))
 
 

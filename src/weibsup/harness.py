@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -311,8 +310,8 @@ class BoundReport:
     seed: int | None = None
     wall_clock: float | None = None
 
-    def to_dict(self, include_timing: bool = False) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+    def to_dict(self) -> dict[str, Any]:
+        return {
             "instance": self.instance,
             "r": self.r,
             "quantities": dict(self.quantities),
@@ -322,9 +321,6 @@ class BoundReport:
             "window": list(self.window) if self.window else None,
             "seed": self.seed,
         }
-        if include_timing and self.wall_clock is not None:
-            doc["wall_clock"] = self.wall_clock
-        return doc
 
     def violated(self) -> bool:
         return any(v in ("violation", "error") for v in self.flags.values())
@@ -360,24 +356,27 @@ def _ratio(numerator: float, denominator: float, noise: float = 0.0) -> float | 
     return numerator / denominator
 
 
-def _instance_grid(cfg: RunConfig) -> Iterator[tuple[InstanceFamily, float, RandomStream]]:
-    """(family, r, stream) for every instance of a verify experiment, in report order."""
+def _instance_grid(
+    cfg: RunConfig,
+) -> Iterator[tuple[InstanceFamily, PointSet, float, RandomStream]]:
+    """(family, set, r, stream) for every instance of a verify experiment, in report
+    order; every family is materialized once, before the first instance is yielded."""
+    psets = [fam.materialize() for fam in cfg.families]
     root = RandomStream(cfg.seed)
-    for i, fam in enumerate(cfg.families):
+    for i, (fam, pset) in enumerate(zip(cfg.families, psets)):
         for j, r in enumerate(cfg.r_values):
-            yield fam, r, root.child(i).child(j)
+            yield fam, pset, r, root.child(i).child(j)
 
 
 def _main_bound_instance(
     fam: InstanceFamily,
+    pset: PointSet,
     r: float,
     cfg: RunConfig,
     stream: RandomStream,
     workers: int = 1,
 ) -> BoundReport:
     _check_r("main_bound", r)
-    started = time.perf_counter()
-    pset = fam.materialize()
     est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
     s = conjugate_exponent(r)
     epi = epi_gamma2(
@@ -398,28 +397,26 @@ def _main_bound_instance(
         flags={"window": _window_flag(ratio, cfg.window)},
         window=cfg.window,
         seed=cfg.seed,
-        wall_clock=time.perf_counter() - started,
     )
 
 
 def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     """Ratio esup / E_pi gamma_2(T_pi) per instance, flagged against the window."""
     return [
-        _main_bound_instance(fam, r, cfg, stream, workers)
-        for fam, r, stream in _instance_grid(cfg)
+        _main_bound_instance(fam, pset, r, cfg, stream, workers)
+        for fam, pset, r, stream in _instance_grid(cfg)
     ]
 
 
 def _r1_bound_instance(
     fam: InstanceFamily,
+    pset: PointSet,
     r: float,
     cfg: RunConfig,
     stream: RandomStream,
     workers: int = 1,
 ) -> BoundReport:
     _check_r("r1_bound", r)
-    started = time.perf_counter()
-    pset = fam.materialize()
     est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
     tree_l2 = build_greedy_tree(pset, Metric.l2())
     tree_linf = build_greedy_tree(pset, Metric.linf())
@@ -458,15 +455,14 @@ def _r1_bound_instance(
         },
         window=cfg.window,
         seed=cfg.seed,
-        wall_clock=time.perf_counter() - started,
     )
 
 
 def verify_r1_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     """Compare esup to gamma_2(T,d_2) + gamma_r(T,d_inf) and to E_pi gamma_2(T_pi)."""
     return [
-        _r1_bound_instance(fam, r, cfg, stream, workers)
-        for fam, r, stream in _instance_grid(cfg)
+        _r1_bound_instance(fam, pset, r, cfg, stream, workers)
+        for fam, pset, r, stream in _instance_grid(cfg)
     ]
 
 
@@ -632,7 +628,7 @@ def _config_echo(cfg: RunConfig) -> dict[str, Any]:
 def reports_json_text(reports: Sequence[BoundReport], config: dict[str, Any] | None = None) -> str:
     doc = {
         "config": config,
-        "reports": [rep.to_dict(include_timing=False) for rep in reports],
+        "reports": [rep.to_dict() for rep in reports],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -689,9 +685,10 @@ def _counterexample_from_config(cfg: RunConfig) -> list[BoundReport]:
 def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = None) -> int:
     """Execute every configured experiment instance; nonzero on any violation.
 
-    Config errors are reported with file/line context and yield exit status 2
-    without writing a report.  Instance failures are recorded with an error
-    marker and the partial report is still persisted (exit status 1).
+    Config errors, a family that cannot be materialized among them, are
+    reported with file/line context and yield exit status 2 without writing a
+    report.  Instance failures are recorded with an error marker and the
+    partial report is still persisted (exit status 1).
     ``overrides`` replaces top-level config values (e.g. samples, num_perms,
     seed, out) before validation.
     """
@@ -725,10 +722,15 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
             print(f"error: {config_path}: {exc}", file=sys.stderr)
             return 2
     else:
+        try:
+            grid = list(_instance_grid(cfg))
+        except (OSError, ValueError) as exc:
+            print(f"error: {config_path}: {exc}", file=sys.stderr)
+            return 2
         instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
-        for fam, r, stream in _instance_grid(cfg):
+        for fam, pset, r, stream in grid:
             try:
-                reports.append(instance_fn(fam, r, cfg, stream, workers))
+                reports.append(instance_fn(fam, pset, r, cfg, stream, workers))
             except Exception as exc:  # persist partial results with a marker
                 failed = True
                 reports.append(

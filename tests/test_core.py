@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ class TestKernelAgreement:
         mat = pairwise_distance_matrix(np.array([a, b, a]), metric)
         assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
         assert np.all(np.diag(mat) == 0.0)
+
+
+class TestPairwiseMatrix:
+    def test_peak_memory_is_quadratic(self):
+        # no m x m x n difference tensor: the m=256, n=64 one alone takes 32 MB
+        m, n = 256, 64
+        pts = np.random.default_rng(3).standard_normal((m, n))
+        for metric in (Metric.l2(), Metric.linf(), Metric(1.5)):
+            tracemalloc.start()
+            try:
+                pairwise_distance_matrix(pts, metric)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * m * m * 8
 
 
 class TestDiameter:

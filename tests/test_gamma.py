@@ -5,7 +5,14 @@ import pytest
 from scipy import integrate, stats
 
 import weibsup.gamma
-from weibsup.core import Metric, PointSet, RandomStream, diameter, pairwise_distance_matrix
+from weibsup.core import (
+    Metric,
+    PointSet,
+    RandomStream,
+    diameter,
+    pairwise_distance_matrix,
+    point_norms,
+)
 from weibsup.gamma import (
     GammaValue,
     NotAdmissibleError,
@@ -22,7 +29,8 @@ from weibsup.gamma import (
     tree_to_jsonable,
     validate_admissible,
 )
-from weibsup.transforms import epi_gamma2
+from weibsup.harness import InstanceFamily
+from weibsup.transforms import apply_permuted_weights, epi_gamma2
 
 L2 = Metric.l2()
 LINF = Metric.linf()
@@ -30,6 +38,20 @@ LINF = Metric.linf()
 
 def random_set(seed: int, m: int, n: int) -> PointSet:
     return PointSet(np.random.default_rng(seed).standard_normal((m, n)))
+
+
+def sets_with_ties() -> list[PointSet]:
+    """Seeded sets with duplicate points, and a T_pi of a hypercube subset,
+    whose distances tie exactly and whose last weight 0 collapses points."""
+    rng = np.random.default_rng(75)
+    sets = []
+    for _ in range(8):
+        m, n = int(rng.integers(2, 80)), int(rng.integers(1, 7))
+        distinct = rng.standard_normal((int(rng.integers(1, m + 1)), n))
+        sets.append(PointSet(distinct[rng.integers(0, len(distinct), size=m)]))
+    cube = InstanceFamily("hypercube_subset", seed=76, n=8, m=96).materialize()
+    sets.append(apply_permuted_weights(cube, rng.permutation(8), 2.0))
+    return sets
 
 
 def emax_gaussians(n: int) -> float:
@@ -198,6 +220,30 @@ class TestDudley:
         proxy = gaussian_gamma2_proxy(ps, 8000, RandomStream(62)).value
         assert dudley_bound(ps, L2).value >= proxy
 
+    def test_matches_radius_loop(self):
+        # the covering-radius loop as first written, kept as the reference
+        def reference(pset, metric):
+            m = pset.m
+            dist = pairwise_distance_matrix(pset.points, metric)
+            min_dist = dist[int(np.argmax(point_norms(pset.points, metric)))].copy()
+            radii = [float(min_dist.max())]
+            while radii[-1] > 0.0 and len(radii) < m:
+                far = int(np.argmax(min_dist))
+                np.minimum(min_dist, dist[far], out=min_dist)
+                radii.append(float(min_dist.max()))
+            total = 0.0
+            for n in range(64):
+                centers = 1 if n == 0 else (m if 2**n >= 64 else min(m, 2 ** (2**n)))
+                e_n = radii[centers - 1] if centers <= len(radii) else 0.0
+                total += 2.0 ** (n / 2.0) * e_n
+                if e_n == 0.0:
+                    break
+            return total
+
+        for ps in sets_with_ties():
+            for metric in (L2, LINF):
+                assert dudley_bound(ps, metric).value == reference(ps, metric)
+
 
 class TestSudakov:
     def test_two_points(self):
@@ -324,6 +370,30 @@ class TestIntersect:
         a = build_greedy_tree(ps, L2)
         b = build_greedy_tree(ps, LINF)
         validate_admissible(intersect_trees(a, b))
+
+    def test_matches_nested_set_loop(self):
+        # the loop over pairs of cells as first written, kept as the reference
+        def reference(a, b):
+            pts = a.pointset.points
+            levels = [(tuple(range(len(pts))),)]
+            for n in range(1, max(len(a.levels), len(b.levels)) + 1):
+                if all(np.all(pts[list(cell)] == pts[cell[0]]) for cell in levels[-1]):
+                    break
+                pa = a.levels[min(n - 1, len(a.levels) - 1)]
+                pb = b.levels[min(n - 1, len(b.levels) - 1)]
+                cells = []
+                for cell_a in pa:
+                    for cell_b in pb:
+                        inter = sorted(set(cell_a).intersection(cell_b))
+                        if inter:
+                            cells.append(tuple(inter))
+                levels.append(tuple(cells))
+            return tuple(levels)
+
+        for ps in sets_with_ties():
+            a, b = build_greedy_tree(ps, L2), build_greedy_tree(ps, LINF)
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert intersect_trees(x, y).levels == reference(x, y)
 
     def test_mismatched_sets_rejected(self):
         a = build_greedy_tree(random_set(73, 5, 2), L2)

@@ -388,6 +388,20 @@ class TestRunAndPersistence:
         }
         self.assert_rejected(tmp_path, monkeypatch, capsys, data, "needs r in")
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"kind": "hypercube_subset", "n": 30, "m": 4}, "limited to n <= 24"),
+            ({"kind": "csv_file", "path": "missing.csv"}, "No such file"),
+        ],
+        ids=["hypercube_n30", "missing_csv"],
+    )
+    def test_family_that_cannot_be_materialized(
+        self, tmp_path, monkeypatch, capsys, family, message
+    ):
+        data = {"name": "main_bound", "families": [family], "r_values": [0.5]}
+        self.assert_rejected(tmp_path, monkeypatch, capsys, data, message)
+
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "nope.json")) == 2
 
