@@ -164,11 +164,17 @@ def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> np.ndarray:
-    """Dense m-by-m distance matrix, built one row at a time in O(m^2) memory."""
+    """Dense m-by-m distance matrix, built one row at a time in O(m^2) memory.
+
+    Each unordered pair is computed once and mirrored: fl(b - a) = -fl(a - b)
+    and every norm ignores signs, so the mirrored entry has the bits its own
+    row would give it, and the matrix is exactly symmetric.
+    """
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
     out = np.empty((pts.shape[0], pts.shape[0]))
     for i in range(pts.shape[0]):
-        out[i] = point_norms(pts[i] - pts, metric)
+        out[i, i:] = point_norms(pts[i] - pts[i:], metric)
+        out[i + 1:, i] = out[i, i + 1:]
     return out
 
 

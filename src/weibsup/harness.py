@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -425,12 +426,21 @@ def _r1_bound_instance(
     gamma_sum = g2 + gr
     chain = chaining_bound(pset, r, intersect_trees(tree_l2, tree_linf))
     s = conjugate_exponent(r)
-    epi = epi_gamma2(
-        pset, s, cfg.num_perms, cfg.gamma_method, stream.child(1),
-        samples=cfg.samples, workers=workers,
-    )
+    with warnings.catch_warnings():
+        # at r = 2 (s = inf) the report flags the limiting 0/1 weights instead
+        warnings.filterwarnings("ignore", "infinite weight exponent", UserWarning)
+        epi = epi_gamma2(
+            pset, s, cfg.num_perms, cfg.gamma_method, stream.child(1),
+            samples=cfg.samples, workers=workers,
+        )
     ratio = _ratio(est.mean, gamma_sum, noise=est.stderr)
     dominated = est.mean <= chain + 3.0 * est.stderr
+    flags = {
+        "window": _window_flag(ratio, cfg.window),
+        "chaining_dominates": "ok" if dominated else "violation",
+    }
+    if math.isinf(s):
+        flags["epi_weights"] = "limiting_0_1"
     return BoundReport(
         instance=fam.descriptor(),
         r=r,
@@ -449,10 +459,7 @@ def _r1_bound_instance(
             "epi_gamma2_over_gamma_sum": _ratio(epi.mean, gamma_sum),
             "esup_weibull_over_chaining_bound": _ratio(est.mean, chain, noise=est.stderr),
         },
-        flags={
-            "window": _window_flag(ratio, cfg.window),
-            "chaining_dominates": "ok" if dominated else "violation",
-        },
+        flags=flags,
         window=cfg.window,
         seed=cfg.seed,
     )

@@ -85,8 +85,8 @@ def abs_weibull(rng: np.random.Generator, exponent: float, size=None):
 def symmetric_weibull(rng: np.random.Generator, exponent: float, size=None):
     """Symmetric X with P(|X| > t) = exp(-t^exponent); independent sign."""
     mag = abs_weibull(rng, exponent, size)
-    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    return sign * mag
+    # u - 0.5 is negative exactly when u < 0.5, and +0.0 at u = 0.5
+    return np.copysign(mag, rng.random(size) - 0.5)
 
 
 def sample_symmetric_weibull(law: WeibullLaw, stream: RandomStream, size=None):

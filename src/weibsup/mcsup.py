@@ -135,14 +135,15 @@ def _mc_mean(
     """Chunked Monte Carlo mean and standard error of the mean.
 
     Chunk sizes and substreams depend only on ``samples`` and ``stream``,
-    and partial sums are merged in chunk order, so the result does not
-    depend on ``workers``.
+    and per-chunk (count, sum, M2) are merged in chunk order with the
+    Chan-Golub-LeVeque update, so the result does not depend on ``workers``
+    and the variance does not cancel when the mean dwarfs the spread.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _chunk_plan(samples)
 
-    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple[float, float]:
+    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple[int, float, float]:
         idx, (start, size) = item
         rng = stream.child(idx).generator()
         vals = np.asarray(sample_values(rng, size), dtype=np.float64)
@@ -150,14 +151,19 @@ def _mc_mean(
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NonFiniteSampleError(f"draw {start + bad} produced a non-finite value")
-        return float(vals.sum()), float(np.square(vals).sum())
+        total = float(vals.sum())
+        return size, total, float(np.square(vals - total / size).sum())
 
     partials = _ordered_map(run_chunk, enumerate(plan), workers)
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return mean, math.sqrt(var / samples)
+    count, run_mean, m2 = 0, 0.0, 0.0
+    for size, total, chunk_m2 in partials:
+        merged = count + size
+        delta = total / size - run_mean
+        run_mean += delta * size / merged
+        m2 += chunk_m2 + delta * delta * count * size / merged
+        count = merged
+    mean = math.fsum(p[1] for p in partials) / samples
+    return mean, math.sqrt(m2 / (samples - 1) / samples)
 
 
 def esup_mc(

@@ -118,7 +118,38 @@ class TestKernelAgreement:
         assert np.all(np.diag(mat) == 0.0)
 
 
+def full_row_matrix(pts: np.ndarray, metric: Metric) -> np.ndarray:
+    """Reference kernel: every row in full, so each unordered pair is computed twice."""
+    out = np.empty((pts.shape[0], pts.shape[0]))
+    for i in range(pts.shape[0]):
+        out[i] = point_norms(pts[i] - pts, metric)
+    return out
+
+
+def seeded_sets_with_duplicates() -> list[np.ndarray]:
+    rng = np.random.default_rng(11)
+    sets = []
+    for m, n in [(1, 1), (1, 5), (7, 1), (40, 9), (33, 130), (17, 300)]:
+        pts = rng.standard_normal((m, n)) * rng.uniform(0.1, 1e3)
+        if m > 2:
+            pts[m // 2] = pts[0]
+            pts[-1] = pts[1]
+        sets.append(pts)
+    # hypercube points: exact ties and many duplicate rows
+    sets.append(rng.integers(0, 2, (50, 6)) * 2.0 - 1.0)
+    return sets
+
+
 class TestPairwiseMatrix:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_each_pair_once_matches_full_rows_bitwise(self, p):
+        metric = Metric(p)
+        for pts in seeded_sets_with_duplicates():
+            mat = pairwise_distance_matrix(pts, metric)
+            assert mat.tobytes() == full_row_matrix(pts, metric).tobytes()
+            assert np.array_equal(mat, mat.T)
+            assert np.all(np.diag(mat) == 0.0)
+
     def test_peak_memory_is_quadratic(self):
         # no m x m x n difference tensor: the m=256, n=64 one alone takes 32 MB
         m, n = 256, 64

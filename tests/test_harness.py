@@ -461,6 +461,20 @@ class TestShippedConfigs:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_runs_without_warnings(self, path, tmp_path):
+        import warnings
+
+        out = tmp_path / "report.json"
+        args = ["verify", "--config", str(path), "--samples", "200", "--perms", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(args + ["--out", str(out)]) == 0
+        for rep in json.loads(out.read_text())["reports"]:
+            # r1_bound at r = 2 uses the limiting weights, and says so
+            limiting = path.stem == "r1_bound" and rep["r"] == 2.0
+            assert rep["flags"].get("epi_weights") == ("limiting_0_1" if limiting else None)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
     def test_shipped_config_validates_and_runs(self, path, tmp_path):
         RunConfig.from_dict(json.loads(path.read_text()))
         out = tmp_path / "report.json"

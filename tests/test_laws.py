@@ -11,6 +11,7 @@ from weibsup.laws import (
     MomentFunctional,
     QuadratureError,
     WeibullLaw,
+    abs_weibull,
     conjugate_exponent,
     sup_norm_moment_bound,
     coupled_quantiles,
@@ -48,6 +49,16 @@ class TestConjugate:
                 conjugate_exponent(bad)
 
 
+class FixedUniforms:
+    """Generator stand-in: each ``random`` call returns the next given draw."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def random(self, size=None):
+        return self._draws.pop(0)
+
+
 class TestSampler:
     def test_quantile_zero(self):
         assert WeibullLaw(1.0).quantile_abs(0.0) == 0.0
@@ -75,6 +86,28 @@ class TestSampler:
     def test_symmetry(self):
         x = sample_symmetric_weibull(WeibullLaw(1.0), RandomStream(22), size=30_000)
         assert abs(float(np.mean(np.sign(x))) ) < 0.02
+
+    def test_sign_matches_where_formula_bitwise(self):
+        # every magnitude uniform (0 gives a zero magnitude) against sign uniforms
+        # at 0, just below 0.5, at 0.5, just above 0.5 and near 1
+        mag_u, sign_u = np.meshgrid(
+            [0.0, 0.25, 0.9],
+            [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.999],
+        )
+        for r in (0.5, 1.0, 2.0):
+            mag = abs_weibull(FixedUniforms(mag_u), r, mag_u.shape)
+            expected = np.where(sign_u < 0.5, -1.0, 1.0) * mag
+            got = symmetric_weibull(FixedUniforms(mag_u, sign_u), r, mag_u.shape)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+        # a zero magnitude with a negative sign is -0.0
+        assert np.signbit(got[0, 0]) and got[0, 0] == 0.0
+
+    def test_scalar_draw_is_float64(self):
+        assert type(symmetric_weibull(np.random.default_rng(3), 1.0)) is np.float64
+        got = symmetric_weibull(FixedUniforms(0.25, 0.2), 1.0)
+        assert type(got) is np.float64
+        assert got == math.log1p(-0.25)  # sign uniform 0.2 < 0.5: negative
 
     def test_reproducible(self):
         a = sample_symmetric_weibull(WeibullLaw(0.7), RandomStream(5, 1), size=100)

@@ -73,6 +73,20 @@ class TestEsupMc:
         with pytest.raises(ValueError):
             esup_mc(PointSet([[1.0]]), Driver.gaussian(), 1, RandomStream(0))
 
+    @pytest.mark.parametrize("offset", [1e8, 1e9])
+    def test_stderr_stable_when_mean_dwarfs_spread(self, offset):
+        drawn = []
+
+        def sampler(rng, count):
+            vals = offset + rng.standard_normal(count)
+            drawn.append(vals)
+            return vals
+
+        _, stderr = _mc_mean(sampler, 20000, RandomStream(5))
+        vals = np.concatenate(drawn)
+        expected = np.std(vals, ddof=1) / math.sqrt(vals.size)
+        assert stderr == pytest.approx(expected, rel=1e-6)
+
     def test_nonfinite_draw_names_index(self):
         def sampler(rng, count):
             vals = np.ones(count)
