@@ -16,7 +16,6 @@ from .gamma import (
     sudakov_lower,
 )
 from .harness import (
-    ConfigError,
     InstanceFamily,
     counterexample_run,
     moment_check,
@@ -244,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ level sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -89,85 +90,109 @@ def _distance_matrix(pset: PointSet, metric: Metric) -> np.ndarray:
     return dist
 
 
-def _cell_is_point(points: np.ndarray, cell: Sequence[int]) -> bool:
-    if len(cell) == 1:
-        return True
-    rows = points[np.asarray(cell, dtype=np.int64)]
-    return bool(np.all(rows == rows[0]))
+def _labels(level: Sequence[Sequence[int]], m: int) -> tuple[np.ndarray, ...]:
+    """Each point's cell number at one level (-1 where no cell holds it), the
+    level's cells concatenated, and which of those entries lie in range(m); the
+    only place labels are built from cells."""
+    flat = np.fromiter(itertools.chain.from_iterable(level), dtype=np.int64)
+    cell = np.repeat(np.arange(len(level)), [len(c) for c in level])
+    inside = (flat >= 0) & (flat < m)
+    labels = np.full(m, -1, dtype=np.int64)
+    labels[flat[inside]] = cell[inside]
+    return labels, flat, inside
 
 
-def validate_admissible(tree: PartitionTree) -> None:
-    """Raise NotAdmissibleError naming the first violated invariant."""
+def _cells(labels: np.ndarray) -> list[np.ndarray]:
+    """The points of each cell of one level, in cell order, each ascending."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [order[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _tree(pset: PointSet, rows: Sequence[np.ndarray]) -> PartitionTree:
+    """The tree whose level n groups the points by the labels rows[n]."""
+    return PartitionTree(pset, tuple(tuple(tuple(c.tolist()) for c in _cells(r)) for r in rows))
+
+
+def _point_cells(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per cell of one level: do all of its points coincide (zero diameter)?"""
+    last = np.zeros(labels.max() + 1, dtype=np.int64)
+    last[labels] = np.arange(labels.size)
+    moved = (points != points[last[labels]]).any(axis=1)
+    return np.bincount(labels[moved], minlength=last.size) == 0
+
+
+def validate_admissible(tree: PartitionTree) -> np.ndarray:
+    """Raise NotAdmissibleError naming the first violated invariant.
+
+    Returns the (levels, m) labels: row n holds each point's cell number at
+    level n.
+    """
     m = tree.pointset.m
     levels = tree.levels
     if not levels:
         raise NotAdmissibleError("tree has no levels")
     if len(levels[0]) != 1 or tuple(levels[0][0]) != tuple(range(m)):
         raise NotAdmissibleError("level 0 must be the single cell containing every point")
-    prev_cell_of: np.ndarray | None = None
+    labels = np.empty((len(levels), m), dtype=np.int64)
     for n, level in enumerate(levels):
         budget = _level_budget(n)
         if budget is not None and len(level) > budget:
             raise NotAdmissibleError(
                 f"level {n} has {len(level)} cells, over the budget 2^(2^{n}) = {budget}"
             )
-        cell_of = np.full(m, -1, dtype=np.int64)
-        for ci, cell in enumerate(level):
-            for i in cell:
-                if not 0 <= i < m:
-                    raise NotAdmissibleError(f"level {n} references point index {i}")
-                if cell_of[i] != -1:
-                    raise NotAdmissibleError(f"level {n} cells overlap at point {i}")
-                cell_of[i] = ci
-        if (cell_of == -1).any():
-            missing = int(np.argmax(cell_of == -1))
-            raise NotAdmissibleError(f"level {n} does not cover point {missing}")
-        if prev_cell_of is not None:
-            for cell in level:
-                parents = {int(prev_cell_of[i]) for i in cell}
-                if len(parents) != 1:
-                    raise NotAdmissibleError(
-                        f"level {n} cell {tuple(cell)} is not nested in a single parent"
-                    )
-        prev_cell_of = cell_of
-    for cell in levels[-1]:
-        if not _cell_is_point(tree.pointset.points, cell):
-            raise NotAdmissibleError(
-                f"final level cell {tuple(cell)} is neither a singleton nor a "
-                "zero-diameter duplicate group"
-            )
+        labels[n], flat, inside = _labels(level, m)
+        counts = np.bincount(flat[inside], minlength=m)
+        if not inside.all() or counts.max() > 1:
+            # the first point, in cell order, that is out of range or already placed
+            first = np.zeros(flat.size, dtype=bool)
+            first[np.unique(flat, return_index=True)[1]] = True
+            p = int(np.argmax(~inside | ~first))
+            if not inside[p]:
+                raise NotAdmissibleError(f"level {n} references point index {flat[p]}")
+            raise NotAdmissibleError(f"level {n} cells overlap at point {flat[p]}")
+        if flat.size < m:
+            raise NotAdmissibleError(f"level {n} does not cover point {np.argmin(counts)}")
+        if n:
+            # a cell is nested when its points' parent labels agree (empty cells never do)
+            lo, hi = np.full(len(level), m), np.full(len(level), -1)
+            np.minimum.at(lo, labels[n], labels[n - 1])
+            np.maximum.at(hi, labels[n], labels[n - 1])
+            if (lo != hi).any():
+                cell = level[int(np.argmax(lo != hi))]
+                raise NotAdmissibleError(
+                    f"level {n} cell {tuple(cell)} is not nested in a single parent"
+                )
+    spread = ~_point_cells(tree.pointset.points, labels[-1])
+    if spread.any():
+        raise NotAdmissibleError(
+            f"final level cell {tuple(levels[-1][int(np.argmax(spread))])} is neither a "
+            "singleton nor a zero-diameter duplicate group"
+        )
+    return labels
 
 
 def _farthest_points(
-    dist: np.ndarray, norms: np.ndarray, k: int
+    dist: np.ndarray, norms: np.ndarray, idx: np.ndarray, k: int
 ) -> tuple[list[int], list[float]]:
-    """Gonzalez's greedy k-center: up to k centers and the covering radius after each.
+    """Gonzalez's greedy k-center on the points idx (ascending): up to k centers
+    and the covering radius after each.
 
     The first center is the max-norm point, each next one the point farthest
     from the centers so far; ties break to the lowest index (argmax returns
-    the first maximizer).  Selection stops early once the radius is 0.
+    the first maximizer).  Selection stops early once the radius is 0.  Only
+    the centers' rows are read, restricted to idx.
     """
-    centers = [int(np.argmax(norms))]
-    min_dist = dist[centers[0]].copy()
+    centers = [int(idx[np.argmax(norms[idx])])]
+    min_dist = dist[centers[0], idx]
     far = int(np.argmax(min_dist))
     radii = [float(min_dist[far])]
     while len(centers) < k and radii[-1] > 0.0:
-        centers.append(far)
-        np.minimum(min_dist, dist[far], out=min_dist)
+        centers.append(int(idx[far]))
+        np.minimum(min_dist, dist[centers[-1], idx], out=min_dist)
         far = int(np.argmax(min_dist))
         radii.append(float(min_dist[far]))
     return centers, radii
-
-
-def _kcenter_split(
-    cell: tuple[int, ...], k: int, dist: np.ndarray, norms: np.ndarray
-) -> list[tuple[int, ...]]:
-    """Split one cell into at most k children around its farthest-point centers."""
-    idx = np.asarray(cell, dtype=np.int64)
-    sub = dist[np.ix_(idx, idx)]
-    centers, _ = _farthest_points(sub, norms[idx], k)
-    assign = np.argmin(sub[:, centers], axis=1)
-    return [tuple(int(i) for i in idx[assign == ci]) for ci in range(len(centers))]
 
 
 def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
@@ -183,11 +208,11 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     m = pset.m
     dist = _distance_matrix(pset, metric)
     norms = point_norms(pset.points, metric)
-    levels: list[tuple[tuple[int, ...], ...]] = [(tuple(range(m)),)]
+    rows = [np.zeros(m, dtype=np.int64)]
     for n in range(1, _MAX_LEVELS):
-        cells = levels[-1]
-        is_point = [_cell_is_point(pset.points, cell) for cell in cells]
-        if all(is_point):
+        cells = _cells(rows[-1])
+        is_point = _point_cells(pset.points, rows[-1])
+        if is_point.all():
             break
         hard = _level_budget(n)
         target = m if hard is None else -(-hard // len(cells))
@@ -211,23 +236,24 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
                     break
                 allocs[best] += 1
                 total += 1
-        new_level: list[tuple[int, ...]] = []
-        for cell, alloc, point in zip(cells, allocs, is_point):
-            if alloc <= 1 or point:
-                new_level.append(cell)
-            else:
-                new_level.extend(_kcenter_split(cell, alloc, dist, norms))
-        levels.append(tuple(new_level))
-    return PartitionTree(pointset=pset, levels=tuple(levels))
+        row, label = np.empty(m, dtype=np.int64), 0
+        for idx, alloc, point in zip(cells, allocs, is_point):
+            keep = alloc <= 1 or point
+            centers = [idx[0]] if keep else _farthest_points(dist, norms, idx, alloc)[0]
+            # each point joins its nearest center, ties to the earliest
+            row[idx] = label + np.argmin(dist[np.ix_(centers, idx)], axis=0)
+            label += len(centers)
+        rows.append(row)
+    return _tree(pset, rows)
 
 
-def _sup_level_sum(tree: PartitionTree, cell_value: Callable[[int, tuple], float]) -> float:
-    """sup over t of sum_n cell_value(n, np.ix_ of A_n(t)); cells valued <= 0 add nothing."""
-    acc = np.zeros(tree.pointset.m)
-    for n, level in enumerate(tree.levels):
-        for cell in level:
-            if len(cell) > 1:
-                idx = np.asarray(cell, dtype=np.int64)
+def _sup_level_sum(labels: np.ndarray, cell_value: Callable[[int, tuple], float]) -> float:
+    """sup over t of sum_n cell_value(n, np.ix_ of A_n(t)), the cells read from the
+    (levels, m) labels; cells valued <= 0 add nothing."""
+    acc = np.zeros(labels.shape[1])
+    for n, row in enumerate(labels):
+        for idx in _cells(row):
+            if idx.size > 1:
                 value = cell_value(n, np.ix_(idx, idx))
                 if value > 0.0:
                     acc[idx] += value
@@ -237,10 +263,10 @@ def _sup_level_sum(tree: PartitionTree, cell_value: Callable[[int, tuple], float
 def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaValue:
     """sup over points of sum_n 2^(n/alpha) * diam(A_n(t)) for this tree."""
     _check_alpha(alpha)
-    validate_admissible(tree)
+    labels = validate_admissible(tree)
     dist = _distance_matrix(tree.pointset, metric)
     weights = [2.0 ** (n / alpha) for n in range(len(tree.levels))]
-    value = _sup_level_sum(tree, lambda n, ix: weights[n] * float(dist[ix].max()))
+    value = _sup_level_sum(labels, lambda n, ix: weights[n] * float(dist[ix].max()))
     return GammaValue(alpha=alpha, value=value, method="greedy_upper")
 
 
@@ -331,7 +357,7 @@ def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
     N_n = min(m, 2^(2^n))."""
     m = pset.m
     _, radii = _farthest_points(
-        _distance_matrix(pset, metric), point_norms(pset.points, metric), m
+        _distance_matrix(pset, metric), point_norms(pset.points, metric), np.arange(m), m
     )
     total = 0.0
     n = 0
@@ -381,7 +407,7 @@ def gaussian_gamma2_proxy(
     A zero-diameter set has no supremum fluctuation: the value is exactly 0,
     so no sampling happens there.
     """
-    if _cell_is_point(pset.points, tuple(range(pset.m))):
+    if (pset.points == pset.points[0]).all():
         return GammaValue(alpha=2.0, value=0.0, method="gaussian_proxy", stderr=0.0)
     est = esup_mc(pset, Driver.gaussian(), samples, stream, workers)
     return GammaValue(
@@ -402,24 +428,16 @@ def intersect_trees(a: PartitionTree, b: PartitionTree) -> PartitionTree:
         raise ValueError("trees must partition the same point set")
     pset = a.pointset
     m = pset.m
-    depth = max(len(a.levels), len(b.levels))
-    levels: list[tuple[tuple[int, ...], ...]] = [(tuple(range(m)),)]
-    for n in range(1, depth + 1):
-        if all(_cell_is_point(pset.points, cell) for cell in levels[-1]):
+    la = [_labels(level, m)[0] for level in a.levels]
+    lb = [_labels(level, m)[0] for level in b.levels]
+    rows = [np.zeros(m, dtype=np.int64)]
+    for n in range(1, max(len(la), len(lb)) + 1):
+        if _point_cells(pset.points, rows[-1]).all():
             break
-        pa = a.levels[min(n - 1, len(a.levels) - 1)]
-        pb = b.levels[min(n - 1, len(b.levels) - 1)]
-        # one key per point, ordered as (cell in A, cell in B); a stable sort
-        # keeps the points of each intersection in ascending order
-        key = np.empty(m, dtype=np.int64)
-        for ci, cell in enumerate(pa):
-            key[list(cell)] = ci * len(pb)
-        for ci, cell in enumerate(pb):
-            key[list(cell)] += ci
-        order = np.argsort(key, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-        levels.append(tuple(tuple(group.tolist()) for group in groups))
-    return PartitionTree(pointset=pset, levels=tuple(levels))
+        # one key per point, ordered as (cell in A, cell in B)
+        key = la[min(n - 1, len(la) - 1)] * m + lb[min(n - 1, len(lb) - 1)]
+        rows.append(np.unique(key, return_inverse=True)[1])
+    return _tree(pset, rows)
 
 
 def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
@@ -429,11 +447,11 @@ def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
         raise ValueError(f"r must lie in (0, 2], got {r}")
     if tree.pointset is not pset and not np.array_equal(tree.pointset.points, pset.points):
         raise ValueError("tree does not partition the given point set")
-    validate_admissible(tree)
+    labels = validate_admissible(tree)
     d2 = _distance_matrix(pset, Metric.l2())
     dinf = _distance_matrix(pset, Metric.linf())
     return _sup_level_sum(
-        tree, lambda k, ix: float((2.0 ** (k / 2.0) * d2[ix] + 2.0 ** (k / r) * dinf[ix]).max())
+        labels, lambda k, ix: float((2.0 ** (k / 2.0) * d2[ix] + 2.0 ** (k / r) * dinf[ix]).max())
     )
 
 

@@ -52,7 +52,13 @@ DEFAULT_WINDOW = (1.0 / 64.0, 64.0)
 DEFAULT_SAMPLES = 20_000
 DEFAULT_NUM_PERMS = 20
 
-_FAMILY_KINDS = ("hypercube_subset", "gaussian_cloud", "scaled_basis", "csv_file")
+# the parameters of each family kind, in the order of its compact spec
+_FAMILY_KINDS = {
+    "hypercube_subset": ("n", "m"),
+    "gaussian_cloud": ("n", "m", "scale"),
+    "scaled_basis": ("n", "decay"),
+    "csv_file": ("path",),
+}
 _DECAYS = ("harmonic", "sqrt", "none")
 # r range of each experiment, as (lo, hi, closed): the range its bound is stated on
 _R_RANGES = {
@@ -110,6 +116,14 @@ class InstanceFamily:
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
             raise ConfigError(f"unknown family kind {self.kind!r}")
+        # scaled_basis may restate its m = n points
+        stray = [
+            key for key in ("n", "m", "scale", "decay", "path")
+            if getattr(self, key) is not None and key not in _FAMILY_KINDS[self.kind]
+            and (key, self.kind) != ("m", "scaled_basis")
+        ]
+        if stray:
+            raise ConfigError(f"{self.kind} takes no {', '.join(stray)}")
         if self.kind == "hypercube_subset":
             if self.n is None or self.n < 1:
                 raise ConfigError("hypercube_subset needs n >= 1")
@@ -200,12 +214,7 @@ class InstanceFamily:
         kind = kind.strip()
         args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
         kwargs: dict[str, Any] = {"kind": kind, "seed": seed}
-        positional = {
-            "hypercube_subset": ("n", "m"),
-            "gaussian_cloud": ("n", "m", "scale"),
-            "scaled_basis": ("n", "decay"),
-            "csv_file": ("path",),
-        }.get(kind)
+        positional = _FAMILY_KINDS.get(kind)
         if positional is None:
             raise ConfigError(f"unknown family kind {kind!r}")
         if len(args) > len(positional):
@@ -360,9 +369,16 @@ def _ratio(numerator: float, denominator: float, noise: float = 0.0) -> float | 
 def _instance_grid(
     cfg: RunConfig,
 ) -> Iterator[tuple[InstanceFamily, PointSet, float, RandomStream]]:
-    """(family, set, r, stream) for every instance of a verify experiment, in report
-    order; every family is materialized once, before the first instance is yielded."""
+    """(family, set, r, stream) for every instance of a config, in report order; every
+    family is materialized once, and checked against the gamma method's size limit,
+    before the first instance is yielded."""
     psets = [fam.materialize() for fam in cfg.families]
+    for fam, pset in zip(cfg.families, psets):
+        if cfg.gamma_method == "exact_small" and pset.m > 8:
+            raise ConfigError(
+                f"gamma_method exact_small is limited to m <= 8 points, {fam.descriptor()} "
+                f"has m = {pset.m}"
+            )
     root = RandomStream(cfg.seed)
     for i, (fam, pset) in enumerate(zip(cfg.families, psets)):
         for j, r in enumerate(cfg.r_values):
@@ -529,37 +545,32 @@ def truncation_check(cfg: RunConfig, theta: float, workers: int = 1) -> list[Bou
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    root = RandomStream(cfg.seed)
     reports: list[BoundReport] = []
-    for i, fam in enumerate(cfg.families):
-        pset = fam.materialize()
+    for fam, pset, r, stream in _instance_grid(cfg):
         n = pset.dim
         if n < 2.0 / theta:
             raise ValueError(f"truncation needs n >= 2/theta = {2.0 / theta:g}, got n={n}")
         prefix = math.ceil(theta * n)
-        for j, r in enumerate(cfg.r_values):
-            s = conjugate_exponent(r)
-            a = weights(n, s).w
-            stream = root.child(i).child(j)
-            full = esup_permuted_weighted(pset, a, n, cfg.samples, stream, workers)
-            part = esup_permuted_weighted(pset, a, prefix, cfg.samples, stream, workers)
-            ratio = _ratio(full.mean, part.mean, noise=full.stderr)
-            reports.append(
-                BoundReport(
-                    instance=fam.descriptor(),
-                    r=r,
-                    quantities={
-                        "esup_full": full.mean,
-                        "esup_prefix": part.mean,
-                        "theta": theta,
-                        "prefix_len": float(prefix),
-                    },
-                    stderrs={"esup_full": full.stderr, "esup_prefix": part.stderr},
-                    ratios={"esup_full_over_esup_prefix": ratio},
-                    flags={"window": "neutral" if ratio is None else "recorded"},
-                    seed=cfg.seed,
-                )
+        a = weights(n, conjugate_exponent(r)).w
+        full = esup_permuted_weighted(pset, a, n, cfg.samples, stream, workers)
+        part = esup_permuted_weighted(pset, a, prefix, cfg.samples, stream, workers)
+        ratio = _ratio(full.mean, part.mean, noise=full.stderr)
+        reports.append(
+            BoundReport(
+                instance=fam.descriptor(),
+                r=r,
+                quantities={
+                    "esup_full": full.mean,
+                    "esup_prefix": part.mean,
+                    "theta": theta,
+                    "prefix_len": float(prefix),
+                },
+                stderrs={"esup_full": full.stderr, "esup_prefix": part.stderr},
+                ratios={"esup_full_over_esup_prefix": ratio},
+                flags={"window": "neutral" if ratio is None else "recorded"},
+                seed=cfg.seed,
             )
+        )
     return reports
 
 

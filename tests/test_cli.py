@@ -167,6 +167,24 @@ def test_bad_family_spec():
     assert main(["simulate", "--family", "wat(1)", "--driver", "gaussian"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--set", "missing.csv"],
+        ["simulate", "--set", "missing.csv"],
+        ["transform", "--set", "missing.csv", "--r", "1.0", "--out", "t.csv"],
+        ["moments", "--t", "1,2", "--r", "1", "--p", "2", "--samples", "100",
+         "--out", "no_such_dir/m.json"],
+    ],
+    ids=["gamma", "simulate", "transform", "moments_out"],
+)
+def test_file_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "No such file" in err
+
+
 def test_import_loads_no_scipy():
     import weibsup
 

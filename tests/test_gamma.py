@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import weibsup.gamma
@@ -54,6 +56,152 @@ def sets_with_ties() -> list[PointSet]:
     return sets
 
 
+def reference_budget(n: int) -> int | None:
+    return None if 2**n >= 64 else 2 ** (2**n)
+
+
+def reference_is_point(points: np.ndarray, cell) -> bool:
+    rows = points[np.asarray(cell, dtype=np.int64)]
+    return len(cell) == 1 or bool(np.all(rows == rows[0]))
+
+
+def reference_validate_admissible(tree: PartitionTree) -> None:
+    """The checker as it was written over cell tuples, point by point, kept as
+    the reference for the label-array checker."""
+    m = tree.pointset.m
+    levels = tree.levels
+    if not levels:
+        raise NotAdmissibleError("tree has no levels")
+    if len(levels[0]) != 1 or tuple(levels[0][0]) != tuple(range(m)):
+        raise NotAdmissibleError("level 0 must be the single cell containing every point")
+    prev_cell_of = None
+    for n, level in enumerate(levels):
+        budget = reference_budget(n)
+        if budget is not None and len(level) > budget:
+            raise NotAdmissibleError(
+                f"level {n} has {len(level)} cells, over the budget 2^(2^{n}) = {budget}"
+            )
+        cell_of = np.full(m, -1, dtype=np.int64)
+        for ci, cell in enumerate(level):
+            for i in cell:
+                if not 0 <= i < m:
+                    raise NotAdmissibleError(f"level {n} references point index {i}")
+                if cell_of[i] != -1:
+                    raise NotAdmissibleError(f"level {n} cells overlap at point {i}")
+                cell_of[i] = ci
+        if (cell_of == -1).any():
+            missing = int(np.argmax(cell_of == -1))
+            raise NotAdmissibleError(f"level {n} does not cover point {missing}")
+        if prev_cell_of is not None:
+            for cell in level:
+                if len({int(prev_cell_of[i]) for i in cell}) != 1:
+                    raise NotAdmissibleError(
+                        f"level {n} cell {tuple(cell)} is not nested in a single parent"
+                    )
+        prev_cell_of = cell_of
+    for cell in levels[-1]:
+        if not reference_is_point(tree.pointset.points, cell):
+            raise NotAdmissibleError(
+                f"final level cell {tuple(cell)} is neither a singleton nor a "
+                "zero-diameter duplicate group"
+            )
+
+
+def reference_build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
+    """The greedy builder as it was written over cell tuples, splitting each cell
+    on its own copied sub-matrix, kept as the reference for the label-array builder."""
+    m = pset.m
+    dist = pairwise_distance_matrix(pset.points, metric)
+    norms = point_norms(pset.points, metric)
+
+    def split(cell, k):
+        idx = np.asarray(cell, dtype=np.int64)
+        sub = dist[np.ix_(idx, idx)]
+        centers = [int(np.argmax(norms[idx]))]
+        min_dist = sub[centers[0]].copy()
+        far = int(np.argmax(min_dist))
+        while len(centers) < k and min_dist[far] > 0.0:
+            centers.append(far)
+            np.minimum(min_dist, sub[far], out=min_dist)
+            far = int(np.argmax(min_dist))
+        assign = np.argmin(sub[:, centers], axis=1)
+        return [tuple(int(i) for i in idx[assign == ci]) for ci in range(len(centers))]
+
+    levels = [(tuple(range(m)),)]
+    for n in range(1, 64):
+        cells = levels[-1]
+        is_point = [reference_is_point(pset.points, cell) for cell in cells]
+        if all(is_point):
+            break
+        hard = reference_budget(n)
+        target = m if hard is None else -(-hard // len(cells))
+        sizes = [1 if point else len(cell) for cell, point in zip(cells, is_point)]
+        allocs = [min(size, target) for size in sizes]
+        total = sum(allocs)
+        if hard is not None and total > hard:
+            while total > hard:
+                worst = max(range(len(allocs)), key=lambda i: (allocs[i], i))
+                allocs[worst] -= 1
+                total -= 1
+        else:
+            cap = m if hard is None else min(hard, m)
+            while total < cap:
+                deficits = [size - alloc for size, alloc in zip(sizes, allocs)]
+                best = max(range(len(allocs)), key=lambda i: (deficits[i], -i))
+                if deficits[best] <= 0:
+                    break
+                allocs[best] += 1
+                total += 1
+        new_level = []
+        for cell, alloc, point in zip(cells, allocs, is_point):
+            new_level.extend([cell] if alloc <= 1 or point else split(cell, alloc))
+        levels.append(tuple(new_level))
+    return PartitionTree(pset, tuple(levels))
+
+
+@st.composite
+def malformed_trees(draw) -> PartitionTree:
+    """A nested sequence of partitions of a small set with duplicate points,
+    then broken up to three times in the ways the checker must catch."""
+    m = draw(st.integers(1, 6))
+    points = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)), float)
+    rows = [np.zeros(m, dtype=np.int64)]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        rows.append(rows[-1] * 3 + np.array(extra))
+    levels = [[[i for i in range(m) if row[i] == c] for c in sorted(set(row))] for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["add", "drop", "empty", "move", "singletons", "swap", "clear"]))
+        if op == "clear":
+            levels = []
+            break
+        level = levels[draw(st.integers(0, len(levels) - 1))]
+        cell = level[draw(st.integers(0, len(level) - 1))] if level else None
+        if op == "add" and cell is not None:
+            cell.insert(draw(st.integers(0, len(cell))), draw(st.integers(-1, m)))
+        elif op == "drop" and cell:
+            cell.pop(draw(st.integers(0, len(cell) - 1)))
+        elif op == "empty":
+            level.insert(draw(st.integers(0, len(level))), [])
+        elif op == "move" and cell:
+            level.append([cell.pop()])
+        elif op == "singletons":
+            level[:] = [[i] for i in range(m)]
+        elif op == "swap" and len(levels) > 1:
+            j = draw(st.integers(1, len(levels) - 1))
+            levels[j - 1], levels[j] = levels[j], levels[j - 1]
+    cells = tuple(tuple(tuple(cell) for cell in level) for level in levels)
+    return PartitionTree(PointSet(points[:, None]), cells)
+
+
+def rejection(validate, tree: PartitionTree) -> str | None:
+    try:
+        validate(tree)
+    except NotAdmissibleError as exc:
+        return str(exc)
+    return None
+
+
 def emax_gaussians(n: int) -> float:
     """Quadrature oracle for E max of n iid standard Gaussians."""
     pos, _ = integrate.quad(lambda x: 1.0 - stats.norm.cdf(x) ** n, 0.0, 40.0)
@@ -85,6 +233,22 @@ class TestGreedyTree:
     def test_admissible_various_metrics(self, metric):
         for seed, m in ((1, 7), (2, 33), (3, 64)):
             validate_admissible(build_greedy_tree(random_set(seed, m, 4), metric))
+
+    @pytest.mark.parametrize("metric", [L2, LINF, Metric.lp(1.5)], ids=["l2", "linf", "p1.5"])
+    def test_matches_tuple_builder(self, metric):
+        rng = np.random.default_rng(77)
+        sets = sets_with_ties() + [
+            PointSet([[0.5, -1.0]]),
+            PointSet(rng.standard_normal((40, 1))),
+            PointSet(np.repeat(rng.standard_normal((3, 1)), 7, axis=0)),
+            PointSet(rng.choice([-1.0, 1.0], size=(200, 9))),
+            PointSet(rng.standard_normal((300, 12))),
+        ]
+        for ps in sets:
+            tree = build_greedy_tree(ps, metric)
+            reference = reference_build_greedy_tree(ps, metric)
+            assert tree_to_jsonable(tree) == tree_to_jsonable(reference)
+            assert tree.levels == reference.levels
 
     def test_duplicate_points_terminate(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
@@ -134,6 +298,22 @@ class TestAdmissibilityChecker:
         tree = PartitionTree(ps, ((tuple(range(3)),), ((0, 1), (2,))))
         with pytest.raises(NotAdmissibleError, match="final"):
             validate_admissible(tree)
+
+
+    def test_returns_cell_labels(self):
+        ps = random_set(10, 5, 2)
+        levels = ((tuple(range(5)),), ((3, 0), (1, 2, 4)), ((0,), (3,), (2,), (1, 4)))
+        ps = PointSet(np.vstack([ps.points[:4], ps.points[1]]))
+        labels = validate_admissible(PartitionTree(ps, levels))
+        assert labels.tolist() == [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 3, 2, 1, 3]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(malformed_trees())
+    # two points repeat; the first repeat in cell order is named, not the lowest point
+    @example(PartitionTree(random_set(11, 4, 1), ((tuple(range(4)),), ((0, 2), (2, 0), (1, 3)))))
+    def test_rejects_where_tuple_checker_does(self, tree):
+        expected = rejection(reference_validate_admissible, tree)
+        assert rejection(validate_admissible, tree) == expected
 
 
 class TestGammaFromTree:

@@ -24,6 +24,9 @@ from weibsup.harness import (
     write_reports_csv,
     write_reports_json,
 )
+from weibsup.laws import conjugate_exponent
+from weibsup.mcsup import esup_permuted_weighted
+from weibsup.transforms import weights
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -69,6 +72,27 @@ class TestInstanceFamily:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown family keys"):
             InstanceFamily.from_dict({"kind": "gaussian_cloud", "n": 4, "m": 4, "rho": 1})
+
+    @pytest.mark.parametrize(
+        "kind, extra, spec, stray",
+        [
+            ("gaussian_cloud", {"n": 4, "m": 4, "decay": "sqrt"}, "4,4,decay=sqrt", "decay"),
+            ("hypercube_subset", {"n": 4, "m": 4, "scale": 2.0}, "4,scale=2", "scale"),
+            ("hypercube_subset", {"n": 4, "m": 4, "path": "x.csv"}, "4,path=x.csv", "path"),
+            ("scaled_basis", {"n": 4, "scale": 2.0}, "4,scale=2", "scale"),
+            ("csv_file", {"path": "x.csv", "n": 2, "m": 3}, "n=2", "n, m"),
+        ],
+    )
+    def test_keys_of_another_kind_rejected(self, kind, extra, spec, stray):
+        with pytest.raises(ConfigError, match=f"{kind} takes no {stray}$"):
+            InstanceFamily.from_dict({"kind": kind, **extra})
+        with pytest.raises(ConfigError, match=f"{kind} takes no {stray.split(',')[0]}"):
+            InstanceFamily.from_spec(f"{kind}({spec})")
+
+    def test_scaled_basis_may_restate_m(self):
+        assert InstanceFamily.from_dict({"kind": "scaled_basis", "n": 4, "m": 4}).m == 4
+        with pytest.raises(ConfigError, match="m = n"):
+            InstanceFamily.from_dict({"kind": "scaled_basis", "n": 4, "m": 5})
 
     def test_from_spec(self):
         fam = InstanceFamily.from_spec("gaussian_cloud(16,64,1.5)", seed=4)
@@ -283,6 +307,42 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncation_check(self.cfg(), 1.5)
 
+    def test_matches_family_by_r_loop(self):
+        # the loop over families and r values as first written, kept as the reference
+        def reference(cfg, theta):
+            root = RandomStream(cfg.seed)
+            reports = []
+            for i, fam in enumerate(cfg.families):
+                pset = fam.materialize()
+                n = pset.dim
+                prefix = math.ceil(theta * n)
+                for j, r in enumerate(cfg.r_values):
+                    a = weights(n, conjugate_exponent(r)).w
+                    stream = root.child(i).child(j)
+                    full = esup_permuted_weighted(pset, a, n, cfg.samples, stream)
+                    part = esup_permuted_weighted(pset, a, prefix, cfg.samples, stream)
+                    reports.append((fam.descriptor(), r, full, part))
+            return reports
+
+        cfg = RunConfig(
+            name="main_bound",
+            families=(
+                InstanceFamily("gaussian_cloud", seed=11, n=16, m=24),
+                InstanceFamily("scaled_basis", seed=12, n=12, decay="sqrt"),
+            ),
+            r_values=(0.5, 1.0),
+            samples=500,
+            seed=3,
+        )
+        got = truncation_check(cfg, 0.5)
+        expected = reference(cfg, 0.5)
+        assert len(got) == len(expected) == 4
+        for rep, (instance, r, full, part) in zip(got, expected):
+            assert (rep.instance, rep.r) == (instance, r)
+            assert rep.quantities["esup_full"] == full.mean
+            assert rep.quantities["esup_prefix"] == part.mean
+            assert rep.stderrs == {"esup_full": full.stderr, "esup_prefix": part.stderr}
+
     def test_n_too_small(self):
         cfg = RunConfig(
             name="main_bound",
@@ -401,6 +461,15 @@ class TestRunAndPersistence:
     ):
         data = {"name": "main_bound", "families": [family], "r_values": [0.5]}
         self.assert_rejected(tmp_path, monkeypatch, capsys, data, message)
+
+    def test_exact_small_on_more_than_eight_points(self, tmp_path, monkeypatch, capsys):
+        data = {
+            "name": "main_bound",
+            "families": [{"kind": "gaussian_cloud", "n": 4, "m": 12}],
+            "r_values": [0.5],
+            "gamma_method": "exact_small",
+        }
+        self.assert_rejected(tmp_path, monkeypatch, capsys, data, "limited to m <= 8")
 
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "nope.json")) == 2
