@@ -24,7 +24,7 @@ from .harness import (
     write_reports_json,
 )
 from .laws import conjugate_exponent
-from .mcsup import Driver, esup_mc
+from .mcsup import Driver, NonFiniteSampleError, esup_mc
 from .transforms import apply_permuted_weights, ts_transform
 
 
@@ -76,13 +76,8 @@ def _emit(doc, args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     pset = _load_set(args)
-    if args.driver in ("weibull", "cond_gaussian"):
-        if args.r is None:
-            print("error: --r is required for this driver", file=sys.stderr)
-            return 2
-        driver = Driver(args.driver, r=args.r)
-    else:
-        driver = Driver(args.driver)
+    takes_r = args.driver in ("weibull", "cond_gaussian")  # --r is ignored for the others
+    driver = Driver(args.driver, r=args.r if takes_r else None)
     est = esup_mc(pset, driver, args.samples, RandomStream(args.seed), args.workers)
     _emit(
         {
@@ -243,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+    except (OSError, ValueError, NonFiniteSampleError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

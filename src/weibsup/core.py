@@ -168,13 +168,17 @@ def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> n
 
     Each unordered pair is computed once and mirrored: fl(b - a) = -fl(a - b)
     and every norm ignores signs, so the mirrored entry has the bits its own
-    row would give it, and the matrix is exactly symmetric.
+    row would give it, and the matrix is exactly symmetric.  Finite points
+    whose distances overflow float64 raise ValueError.
     """
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
     out = np.empty((pts.shape[0], pts.shape[0]))
-    for i in range(pts.shape[0]):
-        out[i, i:] = point_norms(pts[i] - pts[i:], metric)
-        out[i + 1:, i] = out[i, i + 1:]
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
+        for i in range(pts.shape[0]):
+            out[i, i:] = point_norms(pts[i] - pts[i:], metric)
+            out[i + 1:, i] = out[i, i + 1:]
+    if not np.isfinite(out).all():
+        raise ValueError(f"{metric} distances between these points overflow float64")
     return out
 
 

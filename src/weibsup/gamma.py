@@ -310,23 +310,14 @@ def _best_partition_max_diam(dist: np.ndarray, max_blocks: int) -> tuple[float, 
 
 
 def gamma_exact_small(pset: PointSet, metric: Metric, alpha: float) -> GammaValue:
-    """Exact gamma_alpha by enumerating admissible sequences, for m <= 8.
+    """Exact gamma_alpha for m <= 8: the value of the optimal tree ``exact_small_tree``.
 
     With m <= 8 < 16 every admissible tree can reach singletons by level 2,
-    so the infimum reduces to diam(T) + 2^(1/alpha) * min over level-1
-    partitions (at most 4 blocks) of the max cell diameter.
+    so the infimum is diam(T) + 2^(1/alpha) * min over level-1 partitions
+    (at most 4 blocks) of the max cell diameter, which that tree attains.
     """
-    _check_alpha(alpha)
-    if pset.m > 8:
-        raise ValueError(f"exact enumeration is limited to m <= 8 points, got {pset.m}")
-    dist = _distance_matrix(pset, metric)
-    whole = float(dist.max())
-    if pset.m <= 4:
-        return GammaValue(alpha=alpha, value=whole, method="exact_small")
-    best, _ = _best_partition_max_diam(dist, 4)
-    return GammaValue(
-        alpha=alpha, value=whole + 2.0 ** (1.0 / alpha) * best, method="exact_small"
-    )
+    value = gamma_from_tree(exact_small_tree(pset, metric), alpha, metric).value
+    return GammaValue(alpha=alpha, value=value, method="exact_small")
 
 
 def exact_small_tree(pset: PointSet, metric: Metric) -> PartitionTree:

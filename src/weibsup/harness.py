@@ -703,49 +703,33 @@ def _counterexample_from_config(cfg: RunConfig) -> list[BoundReport]:
 def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = None) -> int:
     """Execute every configured experiment instance; nonzero on any violation.
 
-    Config errors, a family that cannot be materialized among them, are
-    reported with file/line context and yield exit status 2 without writing a
-    report.  Instance failures are recorded with an error marker and the
-    partial report is still persisted (exit status 1).
-    ``overrides`` replaces top-level config values (e.g. samples, num_perms,
-    seed, out) before validation.
+    Everything that can fail before an instance runs is checked first:
+    reading and parsing the config, ``overrides`` (top-level values such as
+    samples, num_perms, seed or out, applied before validation), validation,
+    materializing every family and opening the report file.  Any of these
+    failures prints one ``error: <config>: <reason>`` line and yields exit
+    status 2 with no report written.  Instance failures are recorded with an
+    error marker and the partial report is still persisted (exit status 1).
     """
     try:
         with open(config_path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: {config_path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr
-        )
-        return 2
-    if overrides and isinstance(data, dict):  # any other root is rejected below
-        data = data | {k: v for k, v in overrides.items() if v is not None}
-    try:
+            data = json.load(fh)
+        if overrides and isinstance(data, dict):  # any other root is rejected below
+            data = data | {k: v for k, v in overrides.items() if v is not None}
         cfg = RunConfig.from_dict(data)
-    except ConfigError as exc:
+        if cfg.name == "counterexample":
+            reports, grid = _counterexample_from_config(cfg), []
+        else:
+            reports, grid = [], list(_instance_grid(cfg))
+        out_path = cfg.out or f"{cfg.name}_report.json"
+        report_file = open(out_path, "w")
+    except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
-    reports: list[BoundReport] = []
     failed = False
-    if cfg.name == "counterexample":
-        try:
-            reports = _counterexample_from_config(cfg)
-        except (ConfigError, ValueError) as exc:
-            print(f"error: {config_path}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            grid = list(_instance_grid(cfg))
-        except (OSError, ValueError) as exc:
-            print(f"error: {config_path}: {exc}", file=sys.stderr)
-            return 2
-        instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
+    instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
+    with report_file:
         for fam, pset, r, stream in grid:
             try:
                 reports.append(instance_fn(fam, pset, r, cfg, stream, workers))
@@ -760,14 +744,10 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
                     )
                 )
                 print(f"error: instance {fam.descriptor()} r={r}: {exc}", file=sys.stderr)
-
-    out_path = cfg.out or f"{cfg.name}_report.json"
-    write_reports_json(reports, out_path, _config_echo(cfg))
+        report_file.write(reports_json_text(reports, _config_echo(cfg)))
     violations = sum(rep.violated() for rep in reports)
     for rep in reports:
         status = "FAIL" if rep.violated() else "ok"
         print(f"[{status}] {rep.instance} r={rep.r} {rep.ratios}")
     print(f"wrote {out_path} ({len(reports)} instances, {violations} flagged)")
-    if failed:
-        return 1
-    return 1 if violations else 0
+    return 1 if failed or violations else 0

@@ -146,7 +146,8 @@ def _mc_mean(
     def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple[int, float, float]:
         idx, (start, size) = item
         rng = stream.child(idx).generator()
-        vals = np.asarray(sample_values(rng, size), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws raise below
+            vals = np.asarray(sample_values(rng, size), dtype=np.float64)
         finite = np.isfinite(vals)
         if not finite.all():
             bad = int(np.argmin(finite))

@@ -60,7 +60,8 @@ def apply_permuted_weights(pset: PointSet, perm: Sequence[int], s: float) -> Poi
     if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
         raise ValueError(f"perm must be a permutation of range({n})")
     wv = weights(n, s)
-    return PointSet(pset.points[:, p] * wv.w[None, :], label=pset.label)
+    with np.errstate(over="ignore"):  # PointSet rejects a coordinate that overflowed
+        return PointSet(pset.points[:, p] * wv.w[None, :], label=pset.label)
 
 
 def ts_transform(pset: PointSet, s: float) -> PointSet:

@@ -346,7 +346,30 @@ class TestGammaFromTree:
             gamma_from_tree(bad, 2.0, L2)
 
 
+def closed_form_exact_small(ps: PointSet, metric: Metric, alpha: float) -> float:
+    """Reference gamma_alpha for m <= 8: diam(T), plus for m > 4 the term
+    2^(1/alpha) * min over partitions into at most 4 blocks of the max cell diameter."""
+    dist = pairwise_distance_matrix(ps, metric)
+    whole = float(dist.max())
+    if ps.m <= 4:
+        return whole
+    best, _ = weibsup.gamma._best_partition_max_diam(dist, 4)
+    return whole + 2.0 ** (1.0 / alpha) * best
+
+
 class TestExactSmall:
+    @pytest.mark.parametrize("metric", [L2, LINF, Metric.lp(1.5)], ids=str)
+    def test_matches_closed_form_bitwise(self, metric):
+        rng = np.random.default_rng(83)
+        for case in range(48):
+            pts = rng.standard_normal((case % 8 + 1, 3))
+            if case % 3 == 0:  # rounded: tied distances and duplicate points
+                pts = np.round(pts)
+            ps = PointSet(pts)
+            for alpha in (0.5, 1.0, 2.0, 4.0):
+                exact = gamma_exact_small(ps, metric, alpha).value
+                assert exact == closed_form_exact_small(ps, metric, alpha)
+
     def test_two_points(self):
         ps = PointSet([[0.0], [2.5]])
         for alpha in (0.5, 1.0, 2.0):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from weibsup import harness
 from weibsup.cli import main as cli_main
 from weibsup.core import RandomStream
 from weibsup.harness import (
@@ -470,6 +471,37 @@ class TestRunAndPersistence:
             "gamma_method": "exact_small",
         }
         self.assert_rejected(tmp_path, monkeypatch, capsys, data, "limited to m <= 8")
+
+    def test_unwritable_out_fails_before_any_instance(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "_main_bound_instance", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        data = {
+            "name": "main_bound",
+            "families": [{"kind": "gaussian_cloud", "n": 4, "m": 8}],
+            "r_values": [0.5],
+        }
+        path = self.write_cfg(tmp_path, data)
+        assert run(path, overrides={"out": "missing/report.json"}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "No such file" in err
+        assert os.listdir(tmp_path) == ["cfg.json"] and calls == []
+
+    @pytest.mark.parametrize("name, r", [("main_bound", 0.5), ("r1_bound", 1.5)])
+    def test_overflowing_set_is_an_instance_error(self, tmp_path, monkeypatch, name, r):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.csv").write_text("1e308,1e308\n-1e308,-1e308\n")
+        data = {
+            "name": name,
+            "families": [{"kind": "csv_file", "path": "big.csv"}],
+            "r_values": [r],
+            "samples": 200,
+            "num_perms": 2,
+        }
+        # with warnings as errors, a numpy overflow warning would be recorded instead
+        assert run(self.write_cfg(tmp_path, data), overrides={"out": "report.json"}) == 1
+        [rep] = json.loads((tmp_path / "report.json").read_text())["reports"]
+        assert rep["flags"]["error_message"].startswith("NonFiniteSampleError:")
 
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "nope.json")) == 2
