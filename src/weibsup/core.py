@@ -163,6 +163,60 @@ def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
     return np.sum(np.abs(x) ** metric.p, axis=1) ** (1.0 / metric.p)
 
 
+def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """The points times 2^-e, with e chosen so the largest |coordinate| lies in
+    [1/2, 1), and e.  No squared difference or l2 norm of the scaled points
+    overflows, and short of underflow, one computed from them is the unscaled
+    one times 2^-e exactly, wherever the unscaled one is finite."""
+    pts = np.asarray(points, dtype=np.float64)
+    exp = int(np.frexp(np.abs(pts).max())[1]) if pts.size else 0
+    return np.ldexp(pts, -exp), exp
+
+
+def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
+    """Read-only (K, m, m) array: matrix k is sqrt(sum_c a_c (t_ic - t_jc)^2),
+    with a = sq_weights[k], the l2 matrix of the points with coordinate c
+    weighted by sqrt(a_c).
+
+    The upper triangle is walked in blocks of max(1, m // n) rows, so one block
+    holds about m^2 squared differences at most (m * n when n > m).  Each block is
+    squared once and then multiplied by each weight row separately, so matrix k
+    has the same bits for any K; each row is mirrored into its column, so every
+    matrix is exactly symmetric with a zero diagonal.  The points are unit
+    scaled first and the result scaled back, so only a weighted distance that
+    itself overflows float64 raises ValueError.
+    """
+    pts, exp = _unit_scaled(points)
+    a = np.asarray(sq_weights, dtype=np.float64)
+    m, n = pts.shape
+    k = a.shape[0]
+    out = np.empty((k, m, m))
+    rows = max(1, m // n)
+    # one buffer each for the block's squared differences and its K sums
+    diff_buf, sums_buf = np.empty(rows * m * n), np.empty(k * rows * m)
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        b = i1 - i0
+        diff = diff_buf[: b * (m - i0) * n].reshape(b, m - i0, n)
+        np.subtract(pts[i0:i1, None, :], pts[None, i0:, :], out=diff)
+        flat = np.square(diff, out=diff).reshape(-1, n)
+        sums = sums_buf[: k * flat.shape[0]].reshape(k, -1)
+        for a_k, s_k in zip(a, sums):
+            np.matmul(flat, a_k, out=s_k)
+        sums = sums.reshape(k, b, m - i0)
+        out[:, i0:i1, i0:] = sums
+        out[:, i1:, i0:i1] = sums[:, :, b:].transpose(0, 2, 1)
+        for r in range(b):  # inside the block, the lower half mirrors the upper
+            out[:, i0 + r + 1:i1, i0 + r] = sums[:, r, r + 1:b]
+    np.sqrt(out, out=out)
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
+        np.ldexp(out, exp, out=out)
+    if not out.max() < np.inf:  # also catches NaN
+        raise ValueError(f"{Metric.l2()} distances between these points overflow float64")
+    out.flags.writeable = False
+    return out
+
+
 def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> np.ndarray:
     """Dense m-by-m distance matrix, built one row at a time in O(m^2) memory.
 

@@ -20,7 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, pairwise_distance_matrix, point_norms
+from .core import (
+    Metric,
+    PointSet,
+    RandomStream,
+    _unit_scaled,
+    pairwise_distance_matrix,
+    point_norms,
+)
 from .mcsup import Driver, esup_mc
 
 __all__ = [
@@ -80,11 +87,14 @@ def _level_budget(n: int) -> int | None:
     return None if 2**n >= 64 else 2 ** (2**n)
 
 
-def _distance_matrix(pset: PointSet, metric: Metric) -> np.ndarray:
-    """The set's read-only distance matrix, built once per metric and kept on the set."""
+def _distance_matrix(
+    pset: PointSet, metric: Metric, given: np.ndarray | None = None
+) -> np.ndarray:
+    """The set's read-only distance matrix, kept on the set: built once per
+    metric, or ``given`` when a caller computed it for these points already."""
     dist = pset._distances.get(metric)
     if dist is None:
-        dist = pairwise_distance_matrix(pset.points, metric)
+        dist = pairwise_distance_matrix(pset.points, metric) if given is None else given
         dist.flags.writeable = False
         pset._distances[metric] = dist
     return dist
@@ -172,6 +182,13 @@ def validate_admissible(tree: PartitionTree) -> np.ndarray:
     return labels
 
 
+def _center_norms(pset: PointSet, metric: Metric) -> np.ndarray:
+    """The norms that pick the first center: those of the unit-scaled points,
+    which cannot overflow.  Under l2 and linf they are the unscaled norms times
+    one power of two wherever those are finite, so the order is the same."""
+    return point_norms(_unit_scaled(pset.points)[0], metric)
+
+
 def _farthest_points(
     dist: np.ndarray, norms: np.ndarray, idx: np.ndarray, k: int
 ) -> tuple[list[int], list[float]]:
@@ -207,7 +224,7 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     """
     m = pset.m
     dist = _distance_matrix(pset, metric)
-    norms = point_norms(pset.points, metric)
+    norms = _center_norms(pset, metric)
     rows = [np.zeros(m, dtype=np.int64)]
     for n in range(1, _MAX_LEVELS):
         cells = _cells(rows[-1])
@@ -248,13 +265,15 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
 
 
 def _sup_level_sum(labels: np.ndarray, cell_value: Callable[[int, tuple], float]) -> float:
-    """sup over t of sum_n cell_value(n, np.ix_ of A_n(t)), the cells read from the
-    (levels, m) labels; cells valued <= 0 add nothing."""
-    acc = np.zeros(labels.shape[1])
+    """sup over t of sum_n cell_value(n, index of A_n(t) x A_n(t)), the cells read
+    from the (levels, m) labels; cells valued <= 0 add nothing.  A cell holding
+    every point is indexed by full slices, so its matrices are read, not copied."""
+    m = labels.shape[1]
+    acc = np.zeros(m)
     for n, row in enumerate(labels):
         for idx in _cells(row):
             if idx.size > 1:
-                value = cell_value(n, np.ix_(idx, idx))
+                value = cell_value(n, np.s_[:, :] if idx.size == m else np.ix_(idx, idx))
                 if value > 0.0:
                     acc[idx] += value
     return float(acc.max())
@@ -348,7 +367,7 @@ def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
     N_n = min(m, 2^(2^n))."""
     m = pset.m
     _, radii = _farthest_points(
-        _distance_matrix(pset, metric), point_norms(pset.points, metric), np.arange(m), m
+        _distance_matrix(pset, metric), _center_norms(pset, metric), np.arange(m), m
     )
     total = 0.0
     n = 0

@@ -9,8 +9,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, _ordered_map
-from .gamma import build_greedy_tree, gamma_exact_small, gamma_from_tree, gaussian_gamma2_proxy
+from .core import Metric, PointSet, RandomStream, _ordered_map, _weighted_l2_matrices
+from .gamma import (
+    _distance_matrix,
+    build_greedy_tree,
+    gamma_exact_small,
+    gamma_from_tree,
+    gaussian_gamma2_proxy,
+)
 
 __all__ = [
     "WeightVector",
@@ -88,6 +94,12 @@ def epi_gamma2(
     Permutations come from the stream's root generator (Fisher-Yates);
     estimator substreams are per-permutation.  Returns the mean and the
     max/min spread across permutations (1 when all values are zero).
+
+    The tree methods read every T_pi's l2 matrix from one pass over the
+    squared coordinate differences of ``pset``: |u - v|^2 of T_pi is
+    sum_c a_c (t_c - t'_c)^2 with a_{pi(k)} = w_k^2.  These matrices (all
+    alive at once, num_perms * m^2 * 8 bytes) may differ from the ones
+    computed from T_pi's own points in the last bits.
     """
     if num_perms < 1:
         raise ValueError(f"need num_perms >= 1, got {num_perms}")
@@ -96,15 +108,22 @@ def epi_gamma2(
     rng = stream.generator()
     perms = [rng.permutation(pset.dim) for _ in range(num_perms)]
     l2 = Metric.l2()
+    if gamma_method != "gaussian_proxy":  # the proxy reads no distance matrix
+        w = weights(pset.dim, s).w
+        sq_weights = np.empty((num_perms, pset.dim))
+        for a, perm in zip(sq_weights, perms):
+            a[perm] = w * w
+        matrices = _weighted_l2_matrices(pset.points, sq_weights)
 
     def evaluate(i: int) -> float:
         transformed = apply_permuted_weights(pset, perms[i], s)
+        if gamma_method == "gaussian_proxy":
+            return gaussian_gamma2_proxy(transformed, samples, stream.child(i)).value
+        _distance_matrix(transformed, l2, matrices[i])
         if gamma_method == "greedy_upper":
             tree = build_greedy_tree(transformed, l2)
             return gamma_from_tree(tree, 2.0, l2).value
-        if gamma_method == "exact_small":
-            return gamma_exact_small(transformed, l2, 2.0).value
-        return gaussian_gamma2_proxy(transformed, samples, stream.child(i)).value
+        return gamma_exact_small(transformed, l2, 2.0).value
 
     values = _ordered_map(evaluate, range(num_perms), workers)
     mean = math.fsum(values) / num_perms

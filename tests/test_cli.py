@@ -205,6 +205,14 @@ def test_overflowing_inputs_exit_2_with_one_line(tmp_path, monkeypatch, capsys, 
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_overflowing_norm_prints_no_warning(tmp_path, monkeypatch, capsys):
+    # one point: every gamma is 0, and no norm may overflow on the way there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.csv").write_text("1e308,1e308\n")
+    assert main(["gamma", "--set", "one.csv", "--samples", "200"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_import_loads_no_scipy():
     import weibsup
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from weibsup.core import (
     Metric,
     PointSet,
     RandomStream,
+    _weighted_l2_matrices,
     diameter,
     distance,
     load_points_csv,
@@ -17,6 +19,7 @@ from weibsup.core import (
     point_norms,
     write_points_csv,
 )
+from weibsup.transforms import apply_permuted_weights, weights
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 vectors = st.integers(min_value=1, max_value=6).flatmap(
@@ -162,6 +165,95 @@ class TestPairwiseMatrix:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * m * m * 8
+
+
+def permuted_sq_weights(n: int, s: float, perms: list[np.ndarray]) -> np.ndarray:
+    """Row k holds a with a_{perm_k(j)} = w_j^2, the weighting that gives T_perm_k."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # s = inf warns that it uses the 0/1 weights
+        w = weights(n, s).w
+    sq = np.empty((len(perms), n))
+    for a, perm in zip(sq, perms):
+        a[perm] = w * w
+    return sq
+
+
+def permuted_reference(pts: np.ndarray, perm: np.ndarray, s: float) -> np.ndarray:
+    """The l2 matrix of T_perm computed from its own points."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tpi = apply_permuted_weights(PointSet(pts), perm, s)
+    return pairwise_distance_matrix(tpi, Metric.l2())
+
+
+class TestWeightedL2Matrices:
+    @pytest.mark.parametrize("s", [0.5, 2.0, math.inf])
+    def test_matches_permuted_sets(self, s):
+        rng = np.random.default_rng(21)
+        for pts in seeded_sets_with_duplicates():
+            n = pts.shape[1]
+            perms = [rng.permutation(n) for _ in range(3)]
+            mats = _weighted_l2_matrices(pts, permuted_sq_weights(n, s, perms))
+            assert mats.shape == (3, pts.shape[0], pts.shape[0])
+            for mat, perm in zip(mats, perms):
+                ref = permuted_reference(pts, perm, s)
+                assert np.all(np.abs(mat - ref) <= (n + 2) * np.finfo(float).eps * ref)
+                assert np.array_equal(mat, mat.T)
+                assert np.all(np.diag(mat) == 0.0)
+            assert not mats.flags.writeable
+
+    def test_zero_where_weighted_coordinates_agree(self):
+        rng = np.random.default_rng(22)
+        pts = rng.standard_normal((30, 5))
+        pts[10:20, :4] = pts[:10, :4]  # rows 10-19 differ from rows 0-9 only on coordinate 4
+        sq = rng.uniform(0.5, 2.0, (2, 5))
+        sq[:, 4] = 0.0
+        mats = _weighted_l2_matrices(pts, sq)
+        for i in range(10):
+            assert np.all(mats[:, i, i + 10] == 0.0) and np.all(mats[:, i + 10, i] == 0.0)
+        assert np.all(mats[:, 0, 1:10] > 0.0)
+
+    def test_bits_do_not_depend_on_the_other_weightings(self):
+        rng = np.random.default_rng(23)
+        for pts in seeded_sets_with_duplicates():
+            n = pts.shape[1]
+            sq = permuted_sq_weights(n, 1.0, [rng.permutation(n) for _ in range(8)])
+            few = _weighted_l2_matrices(pts, sq[[5, 0, 7]])
+            many = _weighted_l2_matrices(pts, sq)
+            for k_few, k_many in [(0, 5), (1, 0), (2, 7)]:
+                assert few[k_few].tobytes() == many[k_many].tobytes()
+
+    def test_scales_exactly_by_a_power_of_two(self):
+        rng = np.random.default_rng(24)
+        sq = rng.uniform(0.0, 3.0, (3, 12))
+        ordinary = rng.standard_normal((40, 12))
+        # times 2^600 these lie near 1e154, where (t_i - t_j)^2 overflows float64
+        huge = np.ldexp(ordinary * 0.5e154, -600)
+        for pts in (ordinary, huge):
+            scaled = np.ldexp(pts, 600)
+            expected = np.ldexp(_weighted_l2_matrices(pts, sq), 600)
+            assert np.array_equal(_weighted_l2_matrices(scaled, sq), expected)
+        with pytest.raises(ValueError, match="overflow"):
+            pairwise_distance_matrix(np.ldexp(huge, 600), Metric.l2())
+
+    def test_overflowing_distance_raises(self):
+        with pytest.raises(ValueError, match="l2 distances between these points overflow float64"):
+            _weighted_l2_matrices(np.array([[1e308, 1e308], [-1e308, -1e308]]), np.ones((2, 2)))
+        # the largest distance here, 1.5e308, is finite
+        mats = _weighted_l2_matrices(np.array([[1e308, 0.0], [-5e307, 0.0]]), np.ones((1, 2)))
+        assert mats[0, 0, 1] == 1.5e308
+
+    def test_peak_memory_is_one_matrix_per_weighting(self):
+        m, n, k = 256, 64, 4
+        rng = np.random.default_rng(25)
+        pts, sq = rng.standard_normal((m, n)), rng.uniform(0.0, 2.0, (k, n))
+        tracemalloc.start()
+        try:
+            _weighted_l2_matrices(pts, sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (k + 2) * m * m * 8
 
 
 class TestDiameter:

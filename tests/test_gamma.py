@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import weibsup.gamma
+import weibsup.transforms
 from weibsup.core import (
     Metric,
     PointSet,
@@ -250,6 +252,11 @@ class TestGreedyTree:
             assert tree_to_jsonable(tree) == tree_to_jsonable(reference)
             assert tree.levels == reference.levels
 
+    def test_overflowing_norms_pick_the_larger_first_center(self):
+        # both norms overflow float64 unscaled, and the second one is larger
+        tree = build_greedy_tree(PointSet([[1e155, 0.0], [1e155, 1e154]]), L2)
+        assert tree.levels[1] == ((1,), (0,))
+
     def test_duplicate_points_terminate(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         tree = build_greedy_tree(PointSet(pts), L2)
@@ -338,6 +345,26 @@ class TestGammaFromTree:
         for bad in (0.0, -1.0, 4.5):
             with pytest.raises(ValueError):
                 gamma_from_tree(tree, bad, L2)
+
+    def test_whole_set_cell_reads_the_matrix_without_copying(self):
+        m = 512
+        ps = random_set(32, m, 3)
+        # cells of 512, 128, 32, 2 and 1 points: only the first is a whole m x m
+        levels = [np.arange(m).reshape(-1, size) for size in (512, 128, 32, 2, 1)]
+        tree = PartitionTree(ps, tuple(tuple(map(tuple, cells.tolist())) for cells in levels))
+        dist = weibsup.gamma._distance_matrix(ps, L2)
+        tracemalloc.start()
+        try:
+            value = gamma_from_tree(tree, 2.0, L2).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 4
+        per_point = sum(
+            2.0 ** (n / 2.0) * np.repeat([dist[np.ix_(c, c)].max() for c in cells], cells.shape[1])
+            for n, cells in enumerate(levels)
+        )
+        assert value == per_point.max()
 
     def test_rejects_non_admissible(self):
         ps = random_set(31, 3, 2)
@@ -525,9 +552,35 @@ class TestDistanceMatrixReuse:
                 dist[0, 0] = 1.0
 
     def test_one_build_per_permuted_set(self, monkeypatch):
+        # every T_pi gets its matrix from one shared pass per call, none built alone
         built = self.count_builds(monkeypatch)
+        passes: list[np.ndarray] = []
+        original_pass = weibsup.transforms._weighted_l2_matrices
+
+        def counting_pass(points, sq_weights):
+            passes.append(original_pass(points, sq_weights))
+            return passes[-1]
+
+        sets: list[PointSet] = []
+        original_apply = weibsup.transforms.apply_permuted_weights
+
+        def keeping_apply(pset, perm, s):
+            sets.append(original_apply(pset, perm, s))
+            return sets[-1]
+
+        monkeypatch.setattr(weibsup.transforms, "_weighted_l2_matrices", counting_pass)
+        monkeypatch.setattr(weibsup.transforms, "apply_permuted_weights", keeping_apply)
         epi_gamma2(random_set(92, 24, 6), 2.0, 5, "greedy_upper", RandomStream(9))
-        assert len(built) == 5
+        epi_gamma2(random_set(93, 8, 4), 1.0, 3, "exact_small", RandomStream(9))
+        epi_gamma2(random_set(94, 8, 4), 1.0, 2, "gaussian_proxy", RandomStream(9), 200)
+        assert len(built) == 0
+        assert [p.shape for p in passes] == [(5, 24, 24), (3, 8, 8)]
+        assert len(sets) == 10 and all(L2 not in tpi._distances for tpi in sets[8:])
+        for tpi, dist in zip(sets, [*passes[0], *passes[1]]):
+            assert np.shares_memory(tpi._distances[L2], dist)
+            assert not tpi._distances[L2].flags.writeable
+            with pytest.raises(ValueError):
+                tpi._distances[L2][0, 0] = 1.0
 
 
 class TestGaussianProxy:
