@@ -222,15 +222,22 @@ def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> n
 
     Each unordered pair is computed once and mirrored: fl(b - a) = -fl(a - b)
     and every norm ignores signs, so the mirrored entry has the bits its own
-    row would give it, and the matrix is exactly symmetric.  Finite points
-    whose distances overflow float64 raise ValueError.
+    row would give it, and the matrix is exactly symmetric.  Under l2 and linf
+    the points are unit scaled first and the matrix scaled back, which changes
+    no bit short of underflow, so only a distance that itself overflows
+    float64 raises ValueError; under other p, so does any whose p-th power
+    overflows.
     """
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
+    exp = 0
+    if metric.p in (2.0, math.inf):
+        pts, exp = _unit_scaled(pts)
     out = np.empty((pts.shape[0], pts.shape[0]))
     with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
         for i in range(pts.shape[0]):
             out[i, i:] = point_norms(pts[i] - pts[i:], metric)
             out[i + 1:, i] = out[i, i + 1:]
+        np.ldexp(out, exp, out=out)
     if not np.isfinite(out).all():
         raise ValueError(f"{metric} distances between these points overflow float64")
     return out

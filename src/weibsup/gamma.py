@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +49,9 @@ __all__ = [
 
 _GAMMA_METHODS = ("exact_small", "greedy_upper", "dudley", "sudakov_lower", "gaussian_proxy")
 _MAX_LEVELS = 64
+# matrix entries that one gather of cell pairs reads at most (with as many
+# indices), unless one row of the matrix holds more
+_GATHER_ENTRIES = 2**14
 
 
 class NotAdmissibleError(ValueError):
@@ -61,6 +64,9 @@ class PartitionTree:
 
     pointset: PointSet
     levels: tuple[tuple[tuple[int, ...], ...], ...]
+    # the (levels, m) cell labels the levels were made from, kept by the trees
+    # built here so that readers need not derive them from the tuples again
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -112,16 +118,34 @@ def _labels(level: Sequence[Sequence[int]], m: int) -> tuple[np.ndarray, ...]:
     return labels, flat, inside
 
 
-def _cells(labels: np.ndarray) -> list[np.ndarray]:
-    """The points of each cell of one level, in cell order, each ascending."""
+def _segments(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points grouped by cell (ascending inside each cell), and where each
+    cell starts in that order and how many points it has."""
     order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return [order[start:end] for start, end in zip([0] + ends, ends)]
+    sizes = np.bincount(labels)
+    return order, np.cumsum(sizes) - sizes, sizes
 
 
 def _tree(pset: PointSet, rows: Sequence[np.ndarray]) -> PartitionTree:
-    """The tree whose level n groups the points by the labels rows[n]."""
-    return PartitionTree(pset, tuple(tuple(tuple(c.tolist()) for c in _cells(r)) for r in rows))
+    """The tree whose level n groups the points by the labels rows[n], which
+    number the cells 0, 1, ... with none empty; the tree keeps the rows."""
+    levels = []
+    for row in rows:
+        order, starts, sizes = _segments(row)
+        flat = order.tolist()
+        levels.append(tuple(tuple(flat[a:a + k]) for a, k in zip(starts.tolist(), sizes.tolist())))
+    tree = PartitionTree(pset, tuple(levels))
+    labels = np.array(rows, dtype=np.int64)
+    labels.flags.writeable = False
+    object.__setattr__(tree, "_rows", labels)
+    return tree
+
+
+def _level_labels(tree: PartitionTree) -> Sequence[np.ndarray]:
+    """Each level's cell labels: the ones the tree carries, else read from its cells."""
+    if tree._rows is not None:
+        return tree._rows
+    return [_labels(level, tree.pointset.m)[0] for level in tree.levels]
 
 
 def _point_cells(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -136,7 +160,8 @@ def validate_admissible(tree: PartitionTree) -> np.ndarray:
     """Raise NotAdmissibleError naming the first violated invariant.
 
     Returns the (levels, m) labels: row n holds each point's cell number at
-    level n.
+    level n.  A tree built here carries them; they are read from the cell
+    tuples otherwise.
     """
     m = tree.pointset.m
     levels = tree.levels
@@ -144,25 +169,28 @@ def validate_admissible(tree: PartitionTree) -> np.ndarray:
         raise NotAdmissibleError("tree has no levels")
     if len(levels[0]) != 1 or tuple(levels[0][0]) != tuple(range(m)):
         raise NotAdmissibleError("level 0 must be the single cell containing every point")
-    labels = np.empty((len(levels), m), dtype=np.int64)
+    carried = tree._rows
+    labels = np.empty((len(levels), m), dtype=np.int64) if carried is None else carried
     for n, level in enumerate(levels):
         budget = _level_budget(n)
         if budget is not None and len(level) > budget:
             raise NotAdmissibleError(
                 f"level {n} has {len(level)} cells, over the budget 2^(2^{n}) = {budget}"
             )
-        labels[n], flat, inside = _labels(level, m)
-        counts = np.bincount(flat[inside], minlength=m)
-        if not inside.all() or counts.max() > 1:
-            # the first point, in cell order, that is out of range or already placed
-            first = np.zeros(flat.size, dtype=bool)
-            first[np.unique(flat, return_index=True)[1]] = True
-            p = int(np.argmax(~inside | ~first))
-            if not inside[p]:
-                raise NotAdmissibleError(f"level {n} references point index {flat[p]}")
-            raise NotAdmissibleError(f"level {n} cells overlap at point {flat[p]}")
-        if flat.size < m:
-            raise NotAdmissibleError(f"level {n} does not cover point {np.argmin(counts)}")
+        # carried rows give each point one label, and the level's cells are made from them
+        if carried is None:
+            labels[n], flat, inside = _labels(level, m)
+            counts = np.bincount(flat[inside], minlength=m)
+            if not inside.all() or counts.max() > 1:
+                # the first point, in cell order, that is out of range or already placed
+                first = np.zeros(flat.size, dtype=bool)
+                first[np.unique(flat, return_index=True)[1]] = True
+                p = int(np.argmax(~inside | ~first))
+                if not inside[p]:
+                    raise NotAdmissibleError(f"level {n} references point index {flat[p]}")
+                raise NotAdmissibleError(f"level {n} cells overlap at point {flat[p]}")
+            if flat.size < m:
+                raise NotAdmissibleError(f"level {n} does not cover point {np.argmin(counts)}")
         if n:
             # a cell is nested when its points' parent labels agree (empty cells never do)
             lo, hi = np.full(len(level), m), np.full(len(level), -1)
@@ -189,27 +217,103 @@ def _center_norms(pset: PointSet, metric: Metric) -> np.ndarray:
     return point_norms(_unit_scaled(pset.points)[0], metric)
 
 
-def _farthest_points(
-    dist: np.ndarray, norms: np.ndarray, idx: np.ndarray, k: int
-) -> tuple[list[int], list[float]]:
-    """Gonzalez's greedy k-center on the points idx (ascending): up to k centers
-    and the covering radius after each.
+def _first_max(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Per segment of ``values``, the position of its first largest entry.  The
+    segments are nonempty and contiguous, begin at ``starts``, and ``seg``
+    numbers the segment of each entry."""
+    if starts.size == 1:
+        return values.argmax(keepdims=True)
+    top = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == top[seg])
+    return hits[np.searchsorted(hits, starts)]
 
-    The first center is the max-norm point, each next one the point farthest
-    from the centers so far; ties break to the lowest index (argmax returns
-    the first maximizer).  Selection stops early once the radius is 0.  Only
-    the centers' rows are read, restricted to idx.
+
+def _farthest_points(
+    dist: np.ndarray, norms: np.ndarray, labels: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Gonzalez's greedy k-center, run in every cell of one level at once: cell c,
+    the points labelled c, takes up to ks[c] centers.
+
+    A cell's first center is its max-norm point, each next one its point
+    farthest from its centers so far; ties break to the lowest index.  A cell
+    stops early once its covering radius is 0.  Each step gives every cell
+    still short of its centers one more, and reads each of its points' distance
+    to the new center with one gather from the centers' rows.  A point moves
+    only to a strictly nearer center, so it joins the earliest nearest one.
+
+    Returns each point's nearest-center rank within its cell, each cell's
+    center count, and per step the covering radius of each cell that took a
+    center in it (step 0: every cell's radius around its first center).
     """
-    centers = [int(idx[np.argmax(norms[idx])])]
-    min_dist = dist[centers[0], idx]
-    far = int(np.argmax(min_dist))
-    radii = [float(min_dist[far])]
-    while len(centers) < k and radii[-1] > 0.0:
-        centers.append(int(idx[far]))
-        np.minimum(min_dist, dist[centers[-1], idx], out=min_dist)
-        far = int(np.argmax(min_dist))
-        radii.append(float(min_dist[far]))
-    return centers, radii
+    order, starts, sizes = _segments(labels)
+    seg = labels[order]
+    rank = np.zeros(labels.size, dtype=np.int64)
+    counts = np.empty(len(ks), dtype=np.int64)
+    center = order[_first_max(norms[order], starts, seg)]
+    # distance to, and rank of, each point's nearest center, the points in the order of ``order``
+    near = dist[center[seg], order]
+    nearest = np.zeros(order.size, dtype=np.int64)
+    far = _first_max(near, starts, seg)
+    radii = [near[far]]
+    cells, limit = np.arange(len(ks)), np.asarray(ks)  # the cells still taking centers
+    step = 0
+    while True:
+        # each cell still taking centers holds ``step`` of them; the next has rank ``step``
+        step += 1
+        more = (limit > step) & (radii[-1] > 0.0)
+        center = order[far]
+        if not more.all():
+            keep = more[seg]
+            rank[order[~keep]] = nearest[~keep]
+            counts[cells[~more]] = step
+            order, near, nearest = order[keep], near[keep], nearest[keep]
+            cells, limit, center, sizes = cells[more], limit[more], center[more], sizes[more]
+            if not cells.size:
+                return rank, counts, radii
+            seg = (np.cumsum(more) - 1)[seg[keep]]
+            starts = np.cumsum(sizes) - sizes
+        moved = dist[center[seg], order]
+        np.putmask(nearest, moved < near, step)
+        np.minimum(near, moved, out=near)
+        far = _first_max(near, starts, seg)
+        radii.append(near[far])
+
+
+def _take_from_largest(values: np.ndarray, count: int, last: bool) -> np.ndarray:
+    """How many units each entry gives when ``count`` units are taken one at a
+    time, each from a currently largest entry, ties to the lowest index (the
+    highest when ``last``).  ``count`` is at most the sum of the entries."""
+    taken = np.zeros_like(values)
+    if count <= 0:
+        return taken
+    # the lowest level t with sum(max(values - t, 0)) <= count
+    lo, hi = 0, int(values.max())
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.maximum(values - mid, 0).sum() <= count:
+            hi = mid
+        else:
+            lo = mid + 1
+    taken = np.maximum(values - lo, 0)
+    # the units left each come from one more entry standing at level lo
+    at = np.flatnonzero(values >= lo)
+    left = count - int(taken.sum())
+    taken[at[at.size - left:] if last else at[:left]] += 1
+    return taken
+
+
+def _allocations(sizes: np.ndarray, hard: int | None, m: int) -> np.ndarray:
+    """Each cell's number of centers at a level with cardinality cap ``hard``."""
+    target = m if hard is None else -(-hard // sizes.size)
+    allocs = np.minimum(sizes, target)
+    total = int(allocs.sum())
+    if hard is not None and total > hard:
+        # ceil rounding overshot the cardinality cap; trim largest shares
+        return allocs - _take_from_largest(allocs, total - hard, last=True)
+    # redistribute unused share to the cells still short of splitting
+    deficits = sizes - allocs
+    cap = m if hard is None else min(hard, m)
+    return allocs + _take_from_largest(deficits, min(cap - total, int(deficits.sum())), last=False)
 
 
 def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
@@ -219,63 +323,89 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     budget 2^(2^n), rounded up and capped by cell size; share left unused by
     small cells is redistributed to cells still short of splitting, and if
     ceil rounding overshoots the hard cardinality cap the largest allocations
-    are trimmed.  Construction stops at the first level where every cell has
-    zero diameter.
+    are trimmed.  Every cell of a level is split in one farthest-point pass.
+    Construction stops at the first level where every cell has zero diameter.
+
+    Distinct points whose distances all underflow to 0 cannot be told apart
+    by distance: a cell of them keeps one center until its share covers its
+    size, and then splits into singletons.
     """
     m = pset.m
     dist = _distance_matrix(pset, metric)
     norms = _center_norms(pset, metric)
     rows = [np.zeros(m, dtype=np.int64)]
     for n in range(1, _MAX_LEVELS):
-        cells = _cells(rows[-1])
-        is_point = _point_cells(pset.points, rows[-1])
+        row = rows[-1]
+        is_point = _point_cells(pset.points, row)
         if is_point.all():
             break
-        hard = _level_budget(n)
-        target = m if hard is None else -(-hard // len(cells))
+        sizes = np.bincount(row)
         # a zero-diameter cell cannot split; it takes exactly one slot
-        sizes = [1 if point else len(cell) for cell, point in zip(cells, is_point)]
-        allocs = [min(size, target) for size in sizes]
-        total = sum(allocs)
-        if hard is not None and total > hard:
-            # ceil rounding overshot the cardinality cap; trim largest shares
-            while total > hard:
-                worst = max(range(len(allocs)), key=lambda i: (allocs[i], i))
-                allocs[worst] -= 1
-                total -= 1
-        else:
-            # redistribute unused share to the cells still short of splitting
-            cap = m if hard is None else min(hard, m)
-            while total < cap:
-                deficits = [size - alloc for size, alloc in zip(sizes, allocs)]
-                best = max(range(len(allocs)), key=lambda i: (deficits[i], -i))
-                if deficits[best] <= 0:
-                    break
-                allocs[best] += 1
-                total += 1
-        row, label = np.empty(m, dtype=np.int64), 0
-        for idx, alloc, point in zip(cells, allocs, is_point):
-            keep = alloc <= 1 or point
-            centers = [idx[0]] if keep else _farthest_points(dist, norms, idx, alloc)[0]
-            # each point joins its nearest center, ties to the earliest
-            row[idx] = label + np.argmin(dist[np.ix_(centers, idx)], axis=0)
-            label += len(centers)
-        rows.append(row)
+        allocs = _allocations(np.where(is_point, 1, sizes), _level_budget(n), m)
+        split = (allocs > 1) & ~is_point
+        rank, counts, _ = _farthest_points(dist, norms, row, np.where(split, allocs, 1))
+        stuck = split & (counts == 1) & (allocs == sizes)
+        if stuck.any():
+            order, starts, _ = _segments(row)
+            within = np.empty(m, dtype=np.int64)
+            within[order] = np.arange(m) - starts[row[order]]
+            rank = np.where(stuck[row], within, rank)
+            counts = np.where(stuck, sizes, counts)
+        rows.append((np.cumsum(counts) - counts)[row] + rank)
     return _tree(pset, rows)
 
 
-def _sup_level_sum(labels: np.ndarray, cell_value: Callable[[int, tuple], float]) -> float:
-    """sup over t of sum_n cell_value(n, index of A_n(t) x A_n(t)), the cells read
-    from the (levels, m) labels; cells valued <= 0 add nothing.  A cell holding
-    every point is indexed by full slices, so its matrices are read, not copied."""
+def _sup_level_sum(
+    labels: np.ndarray, cell_max: Callable[[int, Callable[[np.ndarray], np.ndarray]], np.ndarray]
+) -> float:
+    """sup over t of sum_n of level n's value on A_n(t), the cells read from the
+    (levels, m) labels.
+
+    ``cell_max(n, take)`` gives level n's value on the cells that ``take``
+    reads: the max over the last two axes of what ``take`` gathers from an
+    m x m symmetric matrix, a (k, s, s) block for k cells of s points or an
+    (s, s') band of one cell.
+    - A cell holding every point is the matrix itself, read, not copied.
+    - A cell with more than _GATHER_ENTRIES pairs is read in bands of rows,
+      each against the cell's points from the band's first on; by symmetry
+      that covers every pair.
+    - The other cells of two or more points are gathered together by flat
+      index, largest first, in batches of at most _GATHER_ENTRIES entries
+      and of cells at least 3/4 the size of the largest.  A smaller cell is
+      padded by repeating its last point, which leaves its maximum as it is.
+
+    A level adds its values to all of its points at once; a cell of one point
+    adds 0.0, which changes no sum.
+    """
     m = labels.shape[1]
+    band = max(1, _GATHER_ENTRIES // m)
     acc = np.zeros(m)
     for n, row in enumerate(labels):
-        for idx in _cells(row):
-            if idx.size > 1:
-                value = cell_value(n, np.s_[:, :] if idx.size == m else np.ix_(idx, idx))
-                if value > 0.0:
-                    acc[idx] += value
+        if not row.any():  # one cell of every point
+            acc += cell_max(n, lambda mat: mat)
+            continue
+        order, starts, sizes = _segments(row)
+        value = np.zeros(sizes.size)
+        large = sizes * sizes > _GATHER_ENTRIES
+        for c in np.flatnonzero(large).tolist():
+            idx = order[starts[c]:starts[c] + sizes[c]]
+            for i in range(0, idx.size, band):
+                rows, cols = idx[i:i + band], idx[i:]
+                top = cell_max(n, lambda mat: mat.take(rows, axis=0).take(cols, axis=1))
+                value[c] = max(value[c], top)
+        small = np.flatnonzero((sizes > 1) & ~large)
+        small = small[np.argsort(-sizes[small], kind="stable")]
+        # a batch takes the cells of at least 3/4 of its largest's size
+        shrink = np.searchsorted(-sizes[small], -(3 * sizes[small] // 4), side="right")
+        i = 0
+        while i < small.size:
+            part = small[i:min(shrink[i], i + _GATHER_ENTRIES // int(sizes[small[i]]) ** 2)]
+            width = np.arange(sizes[part[0]])
+            block = order[starts[part, None] + np.minimum(width, sizes[part, None] - 1)]
+            flat = block[:, :, None] * m + block[:, None, :]
+            value[part] = cell_max(n, lambda mat: mat.take(flat))
+            i += part.size
+        acc += value[row]
     return float(acc.max())
 
 
@@ -285,7 +415,7 @@ def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaV
     labels = validate_admissible(tree)
     dist = _distance_matrix(tree.pointset, metric)
     weights = [2.0 ** (n / alpha) for n in range(len(tree.levels))]
-    value = _sup_level_sum(labels, lambda n, ix: weights[n] * float(dist[ix].max()))
+    value = _sup_level_sum(labels, lambda n, take: weights[n] * take(dist).max(axis=(-2, -1)))
     return GammaValue(alpha=alpha, value=value, method="greedy_upper")
 
 
@@ -366,9 +496,10 @@ def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
     radius from greedy farthest-point selection of N_n centers, N_0 = 1 and
     N_n = min(m, 2^(2^n))."""
     m = pset.m
-    _, radii = _farthest_points(
-        _distance_matrix(pset, metric), _center_norms(pset, metric), np.arange(m), m
-    )
+    dist, norms = _distance_matrix(pset, metric), _center_norms(pset, metric)
+    # one cell of every point: step j gives the radius around j + 1 centers
+    steps = _farthest_points(dist, norms, np.zeros(m, dtype=np.int64), np.array([m]))[2]
+    radii = np.concatenate(steps).tolist()
     total = 0.0
     n = 0
     while n < _MAX_LEVELS:
@@ -438,8 +569,7 @@ def intersect_trees(a: PartitionTree, b: PartitionTree) -> PartitionTree:
         raise ValueError("trees must partition the same point set")
     pset = a.pointset
     m = pset.m
-    la = [_labels(level, m)[0] for level in a.levels]
-    lb = [_labels(level, m)[0] for level in b.levels]
+    la, lb = _level_labels(a), _level_labels(b)
     rows = [np.zeros(m, dtype=np.int64)]
     for n in range(1, max(len(la), len(lb)) + 1):
         if _point_cells(pset.points, rows[-1]).all():
@@ -461,7 +591,10 @@ def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
     d2 = _distance_matrix(pset, Metric.l2())
     dinf = _distance_matrix(pset, Metric.linf())
     return _sup_level_sum(
-        labels, lambda k, ix: float((2.0 ** (k / 2.0) * d2[ix] + 2.0 ** (k / r) * dinf[ix]).max())
+        labels,
+        lambda k, take: (2.0 ** (k / 2.0) * take(d2) + 2.0 ** (k / r) * take(dinf)).max(
+            axis=(-2, -1)
+        ),
     )
 
 

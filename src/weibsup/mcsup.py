@@ -137,7 +137,10 @@ def _mc_mean(
     Chunk sizes and substreams depend only on ``samples`` and ``stream``,
     and per-chunk (count, sum, M2) are merged in chunk order with the
     Chan-Golub-LeVeque update, so the result does not depend on ``workers``
-    and the variance does not cancel when the mean dwarfs the spread.
+    and the variance does not cancel when the mean dwarfs the spread.  The
+    variance is carried times 2^-2e, with 2^e above every chunk's largest
+    |draw|, so no square overflows; short of underflow the scaling is exact
+    and changes no bit.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -152,19 +155,24 @@ def _mc_mean(
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NonFiniteSampleError(f"draw {start + bad} produced a non-finite value")
-        total = float(vals.sum())
-        return size, total, float(np.square(vals - total / size).sum())
+        exp = int(np.frexp(np.abs(vals).max())[1])
+        scaled = np.ldexp(vals, -exp)
+        part = float(scaled.sum())
+        return size, float(vals.sum()), exp, part, float(np.square(scaled - part / size).sum())
 
     partials = _ordered_map(run_chunk, enumerate(plan), workers)
+    top = max(p[2] for p in partials)
     count, run_mean, m2 = 0, 0.0, 0.0
-    for size, total, chunk_m2 in partials:
+    for size, _, exp, part, chunk_m2 in partials:
+        # the chunk's sum and M2 times 2^-top and 2^-2top
+        part, chunk_m2 = math.ldexp(part, exp - top), math.ldexp(chunk_m2, 2 * (exp - top))
         merged = count + size
-        delta = total / size - run_mean
+        delta = part / size - run_mean
         run_mean += delta * size / merged
         m2 += chunk_m2 + delta * delta * count * size / merged
         count = merged
     mean = math.fsum(p[1] for p in partials) / samples
-    return mean, math.sqrt(m2 / (samples - 1) / samples)
+    return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), top)
 
 
 def esup_mc(

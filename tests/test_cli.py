@@ -205,6 +205,36 @@ def test_overflowing_inputs_exit_2_with_one_line(tmp_path, monkeypatch, capsys, 
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "rows, greedy",
+    [
+        ("1e300,0\n-1e300,0\n", 2e300),  # a finite distance whose square overflows
+        ("0\n1e-170\n", 1e-170),  # a distance whose square underflows
+        ("1,0\n1,1e-300\n", 0.0),  # distinct points whose l2 distance underflows to 0
+    ],
+    ids=["huge", "tiny", "underflow"],
+)
+def test_gamma_of_extreme_but_finite_distances(tmp_path, monkeypatch, capsys, rows, greedy):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.csv").write_text(rows)
+    assert main(["gamma", "--set", "set.csv", "--samples", "200"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    gamma = json.loads(captured.out)["gamma"]
+    assert gamma["greedy_upper"] == gamma["exact_small"] == greedy
+
+
+def test_simulate_near_1e160_reports_a_finite_stderr(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("1e160,2e160\n-1e160,3e160\n5e159,0\n")
+    argv = ["simulate", "--set", "big.csv", "--driver", "gaussian", "--samples", "5000"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert 0.0 < doc["stderr"] < doc["mean"] < math.inf
+
+
 def test_overflowing_norm_prints_no_warning(tmp_path, monkeypatch, capsys):
     # one point: every gamma is 0, and no norm may overflow on the way there
     monkeypatch.chdir(tmp_path)

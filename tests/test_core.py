@@ -153,6 +153,24 @@ class TestPairwiseMatrix:
             assert np.array_equal(mat, mat.T)
             assert np.all(np.diag(mat) == 0.0)
 
+    def test_finite_distances_of_huge_points_are_kept(self):
+        # each of these l2 distances is finite, though squares of their coordinates overflow
+        for pts, d in (([[1e300, 0.0], [-1e300, 0.0]], 2e300), ([[1e160], [-1e160]], 2e160)):
+            for metric in (Metric.l2(), Metric.linf()):
+                mat = pairwise_distance_matrix(np.array(pts), metric)
+                assert mat.tolist() == [[0.0, d], [d, 0.0]]
+        # other p stay unscaled: a p-th power that overflows is still rejected
+        with pytest.raises(ValueError, match="l1.5 distances between these points overflow"):
+            pairwise_distance_matrix(np.array([[1e300], [-1e300]]), Metric(1.5))
+
+    @pytest.mark.parametrize("p", [2.0, math.inf], ids=["l2", "linf"])
+    def test_scales_exactly_by_a_power_of_two(self, p):
+        for pts in seeded_sets_with_duplicates():
+            mat = pairwise_distance_matrix(pts, Metric(p))
+            for k in (-400, 531):
+                scaled = pairwise_distance_matrix(np.ldexp(pts, k), Metric(p))
+                assert np.array_equal(scaled, np.ldexp(mat, k))
+
     def test_peak_memory_is_quadratic(self):
         # no m x m x n difference tensor: the m=256, n=64 one alone takes 32 MB
         m, n = 256, 64
@@ -233,8 +251,11 @@ class TestWeightedL2Matrices:
             scaled = np.ldexp(pts, 600)
             expected = np.ldexp(_weighted_l2_matrices(pts, sq), 600)
             assert np.array_equal(_weighted_l2_matrices(scaled, sq), expected)
-        with pytest.raises(ValueError, match="overflow"):
-            pairwise_distance_matrix(np.ldexp(huge, 600), Metric.l2())
+        # the l2 matrix of one set is unit scaled the same way, so it does not overflow either
+        assert np.array_equal(
+            pairwise_distance_matrix(np.ldexp(huge, 600), Metric.l2()),
+            np.ldexp(pairwise_distance_matrix(huge, Metric.l2()), 600),
+        )
 
     def test_overflowing_distance_raises(self):
         with pytest.raises(ValueError, match="l2 distances between these points overflow float64"):

@@ -161,6 +161,68 @@ def reference_build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree
     return PartitionTree(pset, tuple(levels))
 
 
+def reference_allocations(sizes: list[int], hard: int | None, m: int) -> list[int]:
+    """The share, trim and redistribution loops of the reference builder, one
+    unit at a time, on one level's cell sizes."""
+    target = m if hard is None else -(-hard // len(sizes))
+    allocs = [min(size, target) for size in sizes]
+    total = sum(allocs)
+    if hard is not None and total > hard:
+        while total > hard:
+            worst = max(range(len(allocs)), key=lambda i: (allocs[i], i))
+            allocs[worst] -= 1
+            total -= 1
+    else:
+        cap = m if hard is None else min(hard, m)
+        while total < cap:
+            deficits = [size - alloc for size, alloc in zip(sizes, allocs)]
+            best = max(range(len(allocs)), key=lambda i: (deficits[i], -i))
+            if deficits[best] <= 0:
+                break
+            allocs[best] += 1
+            total += 1
+    return allocs
+
+
+def reference_level_sum(tree: PartitionTree, cell_value) -> float:
+    """sup over t of sum_n cell_value(n, np.ix_(A, A)) with A = A_n(t), read one
+    cell at a time; the reference for the level-wide sums."""
+    acc = np.zeros(tree.pointset.m)
+    for n, level in enumerate(tree.levels):
+        for cell in level:
+            if len(cell) > 1:
+                value = cell_value(n, np.ix_(cell, cell))
+                if value > 0.0:
+                    acc[list(cell)] += value
+    return float(acc.max())
+
+
+def reference_gamma(tree: PartitionTree, alpha: float, metric: Metric) -> float:
+    dist = pairwise_distance_matrix(tree.pointset, metric)
+    return reference_level_sum(tree, lambda n, ix: 2.0 ** (n / alpha) * float(dist[ix].max()))
+
+
+def reference_chaining(tree: PartitionTree, r: float) -> float:
+    d2 = pairwise_distance_matrix(tree.pointset, L2)
+    dinf = pairwise_distance_matrix(tree.pointset, LINF)
+    return reference_level_sum(
+        tree, lambda k, ix: float((2.0 ** (k / 2.0) * d2[ix] + 2.0 ** (k / r) * dinf[ix]).max())
+    )
+
+
+@st.composite
+def grid_sets(draw) -> PointSet:
+    """1 to 300 points on a small integer grid, so distances tie; some rows
+    repeat, and one coordinate may be 0 throughout."""
+    m, n = draw(st.integers(1, 300)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(-draw(st.integers(1, 3)), 4, (draw(st.integers(1, m)), n)).astype(float)
+    pts = distinct[rng.integers(0, len(distinct), m)]
+    if draw(st.booleans()):
+        pts[:, rng.integers(n)] = 0.0
+    return PointSet(pts)
+
+
 @st.composite
 def malformed_trees(draw) -> PartitionTree:
     """A nested sequence of partitions of a small set with duplicate points,
@@ -251,6 +313,55 @@ class TestGreedyTree:
             reference = reference_build_greedy_tree(ps, metric)
             assert tree_to_jsonable(tree) == tree_to_jsonable(reference)
             assert tree.levels == reference.levels
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(grid_sets())
+    def test_matches_tuple_builder_and_cell_loops_on_grids(self, ps):
+        trees = {}
+        for metric in (L2, LINF, Metric.lp(1.5)):
+            tree = trees[metric] = build_greedy_tree(ps, metric)
+            assert tree.levels == reference_build_greedy_tree(ps, metric).levels
+            # the labels the tree carries are the ones its cells give
+            assert np.array_equal(
+                validate_admissible(tree), validate_admissible(PartitionTree(ps, tree.levels))
+            )
+            for alpha in (0.5, 2.0):
+                value = gamma_from_tree(tree, alpha, metric).value
+                assert value == reference_gamma(tree, alpha, metric)
+        both = intersect_trees(trees[L2], trees[LINF])
+        for tree in (both, trees[L2]):
+            for r in (0.5, 1.0, 2.0):
+                assert chaining_bound(ps, r, tree) == reference_chaining(tree, r)
+
+    @pytest.mark.parametrize(
+        "points, metric",
+        [
+            ([[1.0, 0.0], [1.0, 1e-300]], L2),
+            ([[0.0], [1e-170]], L2),
+            ([[0, 0, 0], [3, 4, 0], [3, 4, 2e-300], [3, 4, 4e-300], [3, 4, 0]], L2),
+            ([[1.0, 0.0], [1.0, 1e-250], [5.0, 0.0]], Metric.lp(1.5)),
+        ],
+        ids=["two_l2", "tiny_l2", "cluster_l2", "p1.5"],
+    )
+    def test_underflowing_distances_end_admissible(self, points, metric):
+        # the points differ, but some of their distances underflow to 0
+        ps = PointSet(points)
+        tree = build_greedy_tree(ps, metric)
+        validate_admissible(tree)
+        assert len(tree.levels) <= 7
+        dist = pairwise_distance_matrix(ps, metric)
+        assert gamma_from_tree(tree, 2.0, metric).value == reference_gamma(tree, 2.0, metric)
+        assert gamma_from_tree(tree, 2.0, metric).value >= dist.max()
+
+    def test_allocations_match_unit_loops(self):
+        # shares trimmed and redistributed, including levels the builder rarely reaches
+        rng = np.random.default_rng(78)
+        for _ in range(400):
+            sizes = rng.integers(1, int(rng.choice([3, 10, 60])), int(rng.integers(1, 20)))
+            hard = [4, 16, 256, None][int(rng.integers(4))]
+            m = int(sizes.sum() + rng.integers(0, 30))
+            expected = reference_allocations(sizes.tolist(), hard, m)
+            assert weibsup.gamma._allocations(sizes, hard, m).tolist() == expected
 
     def test_overflowing_norms_pick_the_larger_first_center(self):
         # both norms overflow float64 unscaled, and the second one is larger
@@ -365,6 +476,23 @@ class TestGammaFromTree:
             for n, cells in enumerate(levels)
         )
         assert value == per_point.max()
+
+    def test_small_cells_are_read_in_capped_batches(self):
+        m = 2048
+        ps = random_set(33, m, 2)
+        # the whole set twice, then many cells of 128, 8, 2 and 1 points
+        levels = [np.arange(m).reshape(-1, size) for size in (m, m, 128, 8, 2, 1)]
+        tree = PartitionTree(ps, tuple(tuple(map(tuple, cells.tolist())) for cells in levels))
+        weibsup.gamma._distance_matrix(ps, L2)
+        tracemalloc.start()
+        try:
+            value = gamma_from_tree(tree, 2.0, L2).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # level 2's sixteen 128 x 128 blocks alone would take m^2 * 8 / 16 bytes
+        assert peak < m * m * 8 / 32
+        assert value == reference_gamma(tree, 2.0, L2)
 
     def test_rejects_non_admissible(self):
         ps = random_set(31, 3, 2)

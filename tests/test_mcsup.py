@@ -87,6 +87,30 @@ class TestEsupMc:
         expected = np.std(vals, ddof=1) / math.sqrt(vals.size)
         assert stderr == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_huge_points_scale_mean_and_stderr_exactly(self, workers):
+        # near 1e160 a squared deviation of the draws overflows float64; times
+        # 2^531 every draw, sum and deviation scales exactly, and so must both results
+        pts = np.random.default_rng(12).standard_normal((7, 5))
+        small = esup_mc(PointSet(pts), Driver.gaussian(), 20_000, RandomStream(13), workers)
+        big_set = PointSet(np.ldexp(pts, 531))
+        big = esup_mc(big_set, Driver.gaussian(), 20_000, RandomStream(13), workers)
+        assert big.mean == math.ldexp(small.mean, 531)
+        assert big.stderr == math.ldexp(small.stderr, 531)
+
+    def test_chunks_of_different_scales_merge(self):
+        # the first chunk's draws are of order 1, the others near 1e160
+        drawn = []
+
+        def sampler(rng, count):
+            drawn.append(rng.standard_normal(count) * (1e160 if drawn else 1.0))
+            return drawn[-1]
+
+        _, stderr = _mc_mean(sampler, 20_000, RandomStream(6))
+        vals = np.concatenate(drawn) / 1e160
+        expected = np.std(vals, ddof=1) / math.sqrt(vals.size)
+        assert stderr / 1e160 == pytest.approx(expected, rel=1e-9)
+
     def test_nonfinite_draw_names_index(self):
         def sampler(rng, count):
             vals = np.ones(count)
