@@ -365,7 +365,8 @@ def _sup_level_sum(
     reads: the max over the last two axes of what ``take`` gathers from an
     m x m symmetric matrix, a (k, s, s) block for k cells of s points or an
     (s, s') band of one cell.
-    - A cell holding every point is the matrix itself, read, not copied.
+    - A cell holding every point is read in bands of rows of the matrix
+      itself, each from its diagonal on: views, not copies.
     - A cell with more than _GATHER_ENTRIES pairs is read in bands of rows,
       each against the cell's points from the band's first on; by symmetry
       that covers every pair.
@@ -382,7 +383,7 @@ def _sup_level_sum(
     acc = np.zeros(m)
     for n, row in enumerate(labels):
         if not row.any():  # one cell of every point
-            acc += cell_max(n, lambda mat: mat)
+            acc += max(cell_max(n, lambda mat: mat[i:i + band, i:]) for i in range(0, m, band))
             continue
         order, starts, sizes = _segments(row)
         value = np.zeros(sizes.size)
@@ -522,20 +523,23 @@ def sudakov_lower(pset: PointSet, metric: Metric) -> GammaValue:
     diam = float(dist.max())
     if diam == 0.0:
         return GammaValue(alpha=2.0, value=0.0, method="sudakov_lower")
+    radii = [diam]
+    for _ in range(47):
+        radii.append(radii[-1] * 2.0 ** -0.25)
+    eps = np.array(radii)
+    # at every radius at once: point 0 is kept, then each point at least eps from
+    # all kept before it; nearest[k, j] is point j's distance to radius k's kept
+    # points, kept up to date for the points not yet visited (row i is column i)
+    nearest = np.repeat(dist[None, 0], eps.size, axis=0)
+    counts = np.ones(eps.size, dtype=np.int64)
+    for i in range(1, pset.m):
+        keep = np.flatnonzero(nearest[:, i] >= eps)
+        counts[keep] += 1
+        nearest[keep, i + 1:] = np.minimum(nearest[keep, i + 1:], dist[i, i + 1:])
     best = 0.0
-    eps = diam
-    shrink = 2.0 ** -0.25
-    for _ in range(48):
-        # point 0 is kept, then each point at least eps from all kept before it
-        nearest = dist[:, 0].copy()
-        count = 1
-        for i in range(1, pset.m):
-            if nearest[i] >= eps:
-                count += 1
-                np.minimum(nearest, dist[:, i], out=nearest)
+    for radius, count in zip(radii, counts.tolist()):
         if count >= 2:
-            best = max(best, eps * math.sqrt(math.log(count)))
-        eps *= shrink
+            best = max(best, radius * math.sqrt(math.log(count)))
     return GammaValue(alpha=2.0, value=best, method="sudakov_lower")
 
 

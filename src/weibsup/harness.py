@@ -10,8 +10,8 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .laws import (
     exact_abs_moment,
     lp_norm_moment_bound,
 )
-from .mcsup import Driver, _mc_mean, esup_mc, esup_permuted_weighted
-from .transforms import _EPI_METHODS, epi_gamma2, weights
+from .mcsup import Driver, SupEstimate, _mc_mean, esup_mc, esup_permuted_weighted
+from .transforms import _EPI_METHODS, EpiGamma2, epi_gamma2, weights
 
 __all__ = [
     "ConfigError",
@@ -321,16 +321,9 @@ class BoundReport:
     wall_clock: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "instance": self.instance,
-            "r": self.r,
-            "quantities": dict(self.quantities),
-            "stderrs": dict(self.stderrs),
-            "ratios": dict(self.ratios),
-            "flags": dict(self.flags),
-            "window": list(self.window) if self.window else None,
-            "seed": self.seed,
-        }
+        doc = asdict(self)
+        del doc["wall_clock"]
+        return doc | {"window": list(self.window) if self.window else None}
 
     def violated(self) -> bool:
         return any(v in ("violation", "error") for v in self.flags.values())
@@ -366,12 +359,21 @@ def _ratio(numerator: float, denominator: float, noise: float = 0.0) -> float | 
     return numerator / denominator
 
 
-def _instance_grid(
-    cfg: RunConfig,
-) -> Iterator[tuple[InstanceFamily, PointSet, float, RandomStream]]:
-    """(family, set, r, stream) for every instance of a config, in report order; every
-    family is materialized once, and checked against the gamma method's size limit,
-    before the first instance is yielded."""
+class _Instance(NamedTuple):
+    """One (family, r) cell of a config's grid, with its own random stream."""
+
+    fam: InstanceFamily
+    pset: PointSet
+    r: float
+    stream: RandomStream
+
+
+_InstanceFn = Callable[[_Instance, RunConfig, int], BoundReport]
+
+
+def _instance_grid(cfg: RunConfig) -> list[_Instance]:
+    """Every instance of a config, in report order; every family is materialized
+    once, and checked against the gamma method's size limit."""
     psets = [fam.materialize() for fam in cfg.families]
     for fam, pset in zip(cfg.families, psets):
         if cfg.gamma_method == "exact_small" and pset.m > 8:
@@ -380,113 +382,114 @@ def _instance_grid(
                 f"has m = {pset.m}"
             )
     root = RandomStream(cfg.seed)
-    for i, (fam, pset) in enumerate(zip(cfg.families, psets)):
-        for j, r in enumerate(cfg.r_values):
-            yield fam, pset, r, root.child(i).child(j)
-
-
-def _main_bound_instance(
-    fam: InstanceFamily,
-    pset: PointSet,
-    r: float,
-    cfg: RunConfig,
-    stream: RandomStream,
-    workers: int = 1,
-) -> BoundReport:
-    _check_r("main_bound", r)
-    est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
-    s = conjugate_exponent(r)
-    epi = epi_gamma2(
-        pset, s, cfg.num_perms, cfg.gamma_method, stream.child(1),
-        samples=cfg.samples, workers=workers,
-    )
-    ratio = _ratio(est.mean, epi.mean, noise=est.stderr)
-    return BoundReport(
-        instance=fam.descriptor(),
-        r=r,
-        quantities={
-            "esup_weibull": est.mean,
-            "epi_gamma2": epi.mean,
-            "epi_gamma2_spread": epi.spread,
-        },
-        stderrs={"esup_weibull": est.stderr},
-        ratios={"esup_weibull_over_epi_gamma2": ratio},
-        flags={"window": _window_flag(ratio, cfg.window)},
-        window=cfg.window,
-        seed=cfg.seed,
-    )
-
-
-def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
-    """Ratio esup / E_pi gamma_2(T_pi) per instance, flagged against the window."""
     return [
-        _main_bound_instance(fam, pset, r, cfg, stream, workers)
-        for fam, pset, r, stream in _instance_grid(cfg)
+        _Instance(fam, pset, r, root.child(i).child(j))
+        for i, (fam, pset) in enumerate(zip(cfg.families, psets))
+        for j, r in enumerate(cfg.r_values)
     ]
 
 
-def _r1_bound_instance(
-    fam: InstanceFamily,
-    pset: PointSet,
-    r: float,
-    cfg: RunConfig,
-    stream: RandomStream,
-    workers: int = 1,
-) -> BoundReport:
-    _check_r("r1_bound", r)
+def _grid_reports(
+    grid: list[_Instance], instance_fn: _InstanceFn, cfg: RunConfig, workers: int
+) -> list[BoundReport]:
+    """One report per instance, in grid order: the loop every config experiment runs."""
+    return [instance_fn(inst, cfg, workers) for inst in grid]
+
+
+def _recording(instance_fn: _InstanceFn) -> _InstanceFn:
+    """``instance_fn``, with a failing instance recorded as an error report (and
+    one stderr line) instead of raised, so that the instances after it still run."""
+
+    def recorded(inst: _Instance, cfg: RunConfig, workers: int) -> BoundReport:
+        try:
+            return instance_fn(inst, cfg, workers)
+        except Exception as exc:  # persist partial results with a marker
+            print(f"error: instance {inst.fam.descriptor()} r={inst.r}: {exc}", file=sys.stderr)
+            flags = {"run": "error", "error_message": f"{type(exc).__name__}: {exc}"}
+            return BoundReport(inst.fam.descriptor(), inst.r, flags=flags, seed=cfg.seed)
+
+    return recorded
+
+
+def _bound_head(
+    experiment: str, inst: _Instance, cfg: RunConfig, workers: int,
+    between: Callable[[], dict[str, float]] = dict,
+) -> tuple[SupEstimate, EpiGamma2, BoundReport]:
+    """What every bound instance computes: the Weibull esup on stream.child(0), then
+    the quantities ``between()`` returns, then E_pi gamma_2(T_pi) on stream.child(1).
+    The report holds them all; its ratios and flags are left to the caller."""
+    pset, r, stream = inst.pset, inst.r, inst.stream
+    _check_r(experiment, r)
     est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
-    tree_l2 = build_greedy_tree(pset, Metric.l2())
-    tree_linf = build_greedy_tree(pset, Metric.linf())
-    g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
-    gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
-    gamma_sum = g2 + gr
-    chain = chaining_bound(pset, r, intersect_trees(tree_l2, tree_linf))
-    s = conjugate_exponent(r)
+    extra = between()
     with warnings.catch_warnings():
         # at r = 2 (s = inf) the report flags the limiting 0/1 weights instead
         warnings.filterwarnings("ignore", "infinite weight exponent", UserWarning)
         epi = epi_gamma2(
-            pset, s, cfg.num_perms, cfg.gamma_method, stream.child(1),
+            pset, conjugate_exponent(r), cfg.num_perms, cfg.gamma_method, stream.child(1),
             samples=cfg.samples, workers=workers,
         )
-    ratio = _ratio(est.mean, gamma_sum, noise=est.stderr)
-    dominated = est.mean <= chain + 3.0 * est.stderr
-    flags = {
-        "window": _window_flag(ratio, cfg.window),
-        "chaining_dominates": "ok" if dominated else "violation",
-    }
-    if math.isinf(s):
-        flags["epi_weights"] = "limiting_0_1"
-    return BoundReport(
-        instance=fam.descriptor(),
+    report = BoundReport(
+        instance=inst.fam.descriptor(),
         r=r,
         quantities={
             "esup_weibull": est.mean,
-            "gamma2_d2": g2,
-            "gamma_r_dinf": gr,
-            "gamma_sum": gamma_sum,
-            "chaining_bound": chain,
+            **extra,
             "epi_gamma2": epi.mean,
             "epi_gamma2_spread": epi.spread,
         },
         stderrs={"esup_weibull": est.stderr},
-        ratios={
-            "esup_weibull_over_gamma_sum": ratio,
-            "epi_gamma2_over_gamma_sum": _ratio(epi.mean, gamma_sum),
-            "esup_weibull_over_chaining_bound": _ratio(est.mean, chain, noise=est.stderr),
-        },
-        flags=flags,
         window=cfg.window,
         seed=cfg.seed,
     )
+    return est, epi, report
+
+
+def _main_bound_instance(inst: _Instance, cfg: RunConfig, workers: int) -> BoundReport:
+    est, epi, report = _bound_head("main_bound", inst, cfg, workers)
+    ratio = _ratio(est.mean, epi.mean, noise=est.stderr)
+    report.ratios = {"esup_weibull_over_epi_gamma2": ratio}
+    report.flags = {"window": _window_flag(ratio, cfg.window)}
+    return report
+
+
+def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
+    """Ratio esup / E_pi gamma_2(T_pi) per instance, flagged against the window."""
+    return _grid_reports(_instance_grid(cfg), _main_bound_instance, cfg, workers)
+
+
+def _r1_bound_instance(inst: _Instance, cfg: RunConfig, workers: int) -> BoundReport:
+    pset, r = inst.pset, inst.r
+
+    def gammas() -> dict[str, float]:
+        tree_l2 = build_greedy_tree(pset, Metric.l2())
+        tree_linf = build_greedy_tree(pset, Metric.linf())
+        g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
+        gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
+        chain = chaining_bound(pset, r, intersect_trees(tree_l2, tree_linf))
+        return {"gamma2_d2": g2, "gamma_r_dinf": gr, "gamma_sum": g2 + gr, "chaining_bound": chain}
+
+    est, epi, report = _bound_head("r1_bound", inst, cfg, workers, gammas)
+    gamma_sum, chain = report.quantities["gamma_sum"], report.quantities["chaining_bound"]
+    ratio = _ratio(est.mean, gamma_sum, noise=est.stderr)
+    dominated = est.mean <= chain + 3.0 * est.stderr
+    report.ratios = {
+        "esup_weibull_over_gamma_sum": ratio,
+        "epi_gamma2_over_gamma_sum": _ratio(epi.mean, gamma_sum),
+        "esup_weibull_over_chaining_bound": _ratio(est.mean, chain, noise=est.stderr),
+    }
+    report.flags = {
+        "window": _window_flag(ratio, cfg.window),
+        "chaining_dominates": "ok" if dominated else "violation",
+    }
+    if r == 2.0:  # s = inf
+        report.flags["epi_weights"] = "limiting_0_1"
+    return report
 
 
 def verify_r1_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     """Compare esup to gamma_2(T,d_2) + gamma_r(T,d_inf) and to E_pi gamma_2(T_pi)."""
-    return [
-        _r1_bound_instance(fam, pset, r, cfg, stream, workers)
-        for fam, pset, r, stream in _instance_grid(cfg)
-    ]
+    return _grid_reports(_instance_grid(cfg), _r1_bound_instance, cfg, workers)
 
 
 def counterexample_run(r: float, n_list: Sequence[int]) -> list[BoundReport]:
@@ -545,8 +548,9 @@ def truncation_check(cfg: RunConfig, theta: float, workers: int = 1) -> list[Bou
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    reports: list[BoundReport] = []
-    for fam, pset, r, stream in _instance_grid(cfg):
+
+    def truncation_instance(inst: _Instance, cfg: RunConfig, workers: int) -> BoundReport:
+        pset, r, stream = inst.pset, inst.r, inst.stream
         n = pset.dim
         if n < 2.0 / theta:
             raise ValueError(f"truncation needs n >= 2/theta = {2.0 / theta:g}, got n={n}")
@@ -555,23 +559,22 @@ def truncation_check(cfg: RunConfig, theta: float, workers: int = 1) -> list[Bou
         full = esup_permuted_weighted(pset, a, n, cfg.samples, stream, workers)
         part = esup_permuted_weighted(pset, a, prefix, cfg.samples, stream, workers)
         ratio = _ratio(full.mean, part.mean, noise=full.stderr)
-        reports.append(
-            BoundReport(
-                instance=fam.descriptor(),
-                r=r,
-                quantities={
-                    "esup_full": full.mean,
-                    "esup_prefix": part.mean,
-                    "theta": theta,
-                    "prefix_len": float(prefix),
-                },
-                stderrs={"esup_full": full.stderr, "esup_prefix": part.stderr},
-                ratios={"esup_full_over_esup_prefix": ratio},
-                flags={"window": "neutral" if ratio is None else "recorded"},
-                seed=cfg.seed,
-            )
+        return BoundReport(
+            instance=inst.fam.descriptor(),
+            r=r,
+            quantities={
+                "esup_full": full.mean,
+                "esup_prefix": part.mean,
+                "theta": theta,
+                "prefix_len": float(prefix),
+            },
+            stderrs={"esup_full": full.stderr, "esup_prefix": part.stderr},
+            ratios={"esup_full_over_esup_prefix": ratio},
+            flags={"window": "neutral" if ratio is None else "recorded"},
+            seed=cfg.seed,
         )
-    return reports
+
+    return _grid_reports(_instance_grid(cfg), truncation_instance, cfg, workers)
 
 
 def moment_check(
@@ -660,44 +663,25 @@ def write_reports_json(
 
 def write_reports_csv(reports: Sequence[BoundReport], path: str) -> None:
     """Flatten reports to one row per (instance, r); columns are the sorted
-    union of quantity, stderr, and ratio names."""
+    union of quantity, stderr, ratio and flag names."""
     import csv as _csv
 
-    q_keys = sorted({k for rep in reports for k in rep.quantities})
-    s_keys = sorted({k for rep in reports for k in rep.stderrs})
-    r_keys = sorted({k for rep in reports for k in rep.ratios})
-    f_keys = sorted({k for rep in reports for k in rep.flags})
-    header = (
-        ["instance", "r"]
-        + q_keys
-        + [f"stderr_{k}" for k in s_keys]
-        + [f"ratio_{k}" for k in r_keys]
-        + [f"flag_{k}" for k in f_keys]
-    )
+    parts = {"quantities": "", "stderrs": "stderr_", "ratios": "ratio_", "flags": "flag_"}
+    keys = {part: sorted({k for rep in reports for k in getattr(rep, part)}) for part in parts}
+    header = [pre + k for part, pre in parts.items() for k in keys[part]]
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["instance", "r", *header])
         for rep in reports:
-            row: list[Any] = [rep.instance, rep.r]
-            row += [rep.quantities.get(k, "") for k in q_keys]
-            row += [rep.stderrs.get(k, "") for k in s_keys]
-            row += [rep.ratios.get(k, "") for k in r_keys]
-            row += [rep.flags.get(k, "") for k in f_keys]
-            writer.writerow(row)
+            cells = [getattr(rep, part).get(k, "") for part in parts for k in keys[part]]
+            writer.writerow([rep.instance, rep.r, *cells])
 
 
 def _counterexample_from_config(cfg: RunConfig) -> list[BoundReport]:
-    n_list = []
-    for fam in cfg.families:
-        if fam.kind != "hypercube_subset":
-            raise ConfigError(
-                "counterexample configs use hypercube_subset families as size carriers"
-            )
-        n_list.append(fam.n)
-    reports: list[BoundReport] = []
-    for r in cfg.r_values:
-        reports.extend(counterexample_run(r, n_list))
-    return reports
+    if any(fam.kind != "hypercube_subset" for fam in cfg.families):
+        raise ConfigError("counterexample configs use hypercube_subset families as size carriers")
+    n_list = [fam.n for fam in cfg.families]
+    return [rep for r in cfg.r_values for rep in counterexample_run(r, n_list)]
 
 
 def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = None) -> int:
@@ -720,31 +704,18 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
         if cfg.name == "counterexample":
             reports, grid = _counterexample_from_config(cfg), []
         else:
-            reports, grid = [], list(_instance_grid(cfg))
+            reports, grid = [], _instance_grid(cfg)
         out_path = cfg.out or f"{cfg.name}_report.json"
         report_file = open(out_path, "w")
     except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
-    failed = False
     instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
     with report_file:
-        for fam, pset, r, stream in grid:
-            try:
-                reports.append(instance_fn(fam, pset, r, cfg, stream, workers))
-            except Exception as exc:  # persist partial results with a marker
-                failed = True
-                reports.append(
-                    BoundReport(
-                        instance=fam.descriptor(),
-                        r=r,
-                        flags={"run": "error", "error_message": f"{type(exc).__name__}: {exc}"},
-                        seed=cfg.seed,
-                    )
-                )
-                print(f"error: instance {fam.descriptor()} r={r}: {exc}", file=sys.stderr)
+        reports += _grid_reports(grid, _recording(instance_fn), cfg, workers)
         report_file.write(reports_json_text(reports, _config_echo(cfg)))
+    failed = any(rep.flags.get("run") == "error" for rep in reports)
     violations = sum(rep.violated() for rep in reports)
     for rep in reports:
         status = "FAIL" if rep.violated() else "ok"

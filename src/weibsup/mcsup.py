@@ -146,7 +146,7 @@ def _mc_mean(
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _chunk_plan(samples)
 
-    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple[int, float, float]:
+    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple[int, float, int, float, float]:
         idx, (start, size) = item
         rng = stream.child(idx).generator()
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws raise below

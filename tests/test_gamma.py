@@ -809,6 +809,21 @@ class TestChaining:
         with pytest.raises(ValueError):
             chaining_bound(ps, 2.5, tree)
 
+    def test_whole_set_level_is_read_in_bands(self):
+        m = 1024
+        ps = random_set(78, m, 4)
+        # building the trees computes both distance matrices before the trace starts
+        tree = intersect_trees(build_greedy_tree(ps, L2), build_greedy_tree(ps, LINF))
+        tracemalloc.start()
+        try:
+            value = chaining_bound(ps, 1.5, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two level terms over the whole m x m matrices took 2 * m^2 * 8 bytes
+        assert peak < m * m * 8 / 8
+        assert value == reference_chaining(tree, 1.5)
+
 
 class TestScalingEquivariance:
     def test_all_methods_scale_exactly_by_two(self):

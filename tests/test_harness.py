@@ -531,6 +531,28 @@ class TestRunAndPersistence:
         assert len(lines) == 3
         assert lines[0].startswith("instance,r,")
 
+    @pytest.mark.parametrize(
+        "name, verify, r_values",
+        [("main_bound", verify_main_bound, [0.5, 1.5]), ("r1_bound", verify_r1_bound, [1.0, 2.0])],
+    )
+    def test_run_writes_the_reports_of_verify(self, tmp_path, name, verify, r_values):
+        out = tmp_path / "rep.json"
+        data = {
+            "name": name,
+            "families": [
+                {"kind": "gaussian_cloud", "n": 4, "m": 8, "seed": 3},
+                {"kind": "scaled_basis", "n": 5},
+            ],
+            "r_values": r_values,
+            "samples": 500,
+            "num_perms": 2,
+            "seed": 9,
+            "out": str(out),
+        }
+        assert run(self.write_cfg(tmp_path, data)) in (0, 1)
+        expected = [rep.to_dict() for rep in verify(RunConfig.from_dict(data))]
+        assert json.loads(out.read_text())["reports"] == expected
+
     def test_json_text_excludes_timing(self):
         rep = BoundReport(instance="x", r=1.0, quantities={"a": 1.0}, wall_clock=12.5)
         text = reports_json_text([rep])
