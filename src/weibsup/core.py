@@ -289,6 +289,8 @@ def load_points_csv(path: str, label: str | None = None) -> PointSet:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite entry")
             row_numbers.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no points found")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,9 +64,6 @@ class PartitionTree:
 
     pointset: PointSet
     levels: tuple[tuple[tuple[int, ...], ...], ...]
-    # the (levels, m) cell labels the levels were made from, kept by the trees
-    # built here so that readers need not derive them from the tuples again
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,18 +103,6 @@ def _distance_matrix(
     return dist
 
 
-def _labels(level: Sequence[Sequence[int]], m: int) -> tuple[np.ndarray, ...]:
-    """Each point's cell number at one level (-1 where no cell holds it), the
-    level's cells concatenated, and which of those entries lie in range(m); the
-    only place labels are built from cells."""
-    flat = np.fromiter(itertools.chain.from_iterable(level), dtype=np.int64)
-    cell = np.repeat(np.arange(len(level)), [len(c) for c in level])
-    inside = (flat >= 0) & (flat < m)
-    labels = np.full(m, -1, dtype=np.int64)
-    labels[flat[inside]] = cell[inside]
-    return labels, flat, inside
-
-
 def _segments(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points grouped by cell (ascending inside each cell), and where each
     cell starts in that order and how many points it has."""
@@ -128,24 +113,13 @@ def _segments(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _tree(pset: PointSet, rows: Sequence[np.ndarray]) -> PartitionTree:
     """The tree whose level n groups the points by the labels rows[n], which
-    number the cells 0, 1, ... with none empty; the tree keeps the rows."""
+    number the cells 0, 1, ... with none empty."""
     levels = []
     for row in rows:
         order, starts, sizes = _segments(row)
         flat = order.tolist()
         levels.append(tuple(tuple(flat[a:a + k]) for a, k in zip(starts.tolist(), sizes.tolist())))
-    tree = PartitionTree(pset, tuple(levels))
-    labels = np.array(rows, dtype=np.int64)
-    labels.flags.writeable = False
-    object.__setattr__(tree, "_rows", labels)
-    return tree
-
-
-def _level_labels(tree: PartitionTree) -> Sequence[np.ndarray]:
-    """Each level's cell labels: the ones the tree carries, else read from its cells."""
-    if tree._rows is not None:
-        return tree._rows
-    return [_labels(level, tree.pointset.m)[0] for level in tree.levels]
+    return PartitionTree(pset, tuple(levels))
 
 
 def _point_cells(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -156,41 +130,40 @@ def _point_cells(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels[moved], minlength=last.size) == 0
 
 
-def validate_admissible(tree: PartitionTree) -> np.ndarray:
-    """Raise NotAdmissibleError naming the first violated invariant.
-
-    Returns the (levels, m) labels: row n holds each point's cell number at
-    level n.  A tree built here carries them; they are read from the cell
-    tuples otherwise.
-    """
+def _nested_labels(tree: PartitionTree) -> np.ndarray:
+    """The (levels, m) labels of a tree whose levels are nested partitions of
+    its points under the level budgets: row n holds each point's cell number at
+    level n.  Raise NotAdmissibleError naming the first violated invariant
+    (level 0, budget, range, overlap, cover, nesting); the only place labels
+    are read from cells."""
     m = tree.pointset.m
     levels = tree.levels
     if not levels:
         raise NotAdmissibleError("tree has no levels")
     if len(levels[0]) != 1 or tuple(levels[0][0]) != tuple(range(m)):
         raise NotAdmissibleError("level 0 must be the single cell containing every point")
-    carried = tree._rows
-    labels = np.empty((len(levels), m), dtype=np.int64) if carried is None else carried
+    labels = np.empty((len(levels), m), dtype=np.int64)
     for n, level in enumerate(levels):
         budget = _level_budget(n)
         if budget is not None and len(level) > budget:
             raise NotAdmissibleError(
                 f"level {n} has {len(level)} cells, over the budget 2^(2^{n}) = {budget}"
             )
-        # carried rows give each point one label, and the level's cells are made from them
-        if carried is None:
-            labels[n], flat, inside = _labels(level, m)
-            counts = np.bincount(flat[inside], minlength=m)
-            if not inside.all() or counts.max() > 1:
-                # the first point, in cell order, that is out of range or already placed
-                first = np.zeros(flat.size, dtype=bool)
-                first[np.unique(flat, return_index=True)[1]] = True
-                p = int(np.argmax(~inside | ~first))
-                if not inside[p]:
-                    raise NotAdmissibleError(f"level {n} references point index {flat[p]}")
-                raise NotAdmissibleError(f"level {n} cells overlap at point {flat[p]}")
-            if flat.size < m:
-                raise NotAdmissibleError(f"level {n} does not cover point {np.argmin(counts)}")
+        flat = np.fromiter(itertools.chain.from_iterable(level), dtype=np.int64)
+        cell = np.repeat(np.arange(len(level)), [len(c) for c in level])
+        inside = (flat >= 0) & (flat < m)
+        labels[n, flat[inside]] = cell[inside]
+        counts = np.bincount(flat[inside], minlength=m)
+        if not inside.all() or counts.max() > 1:
+            # the first point, in cell order, that is out of range or already placed
+            first = np.zeros(flat.size, dtype=bool)
+            first[np.unique(flat, return_index=True)[1]] = True
+            p = int(np.argmax(~inside | ~first))
+            if not inside[p]:
+                raise NotAdmissibleError(f"level {n} references point index {flat[p]}")
+            raise NotAdmissibleError(f"level {n} cells overlap at point {flat[p]}")
+        if flat.size < m:
+            raise NotAdmissibleError(f"level {n} does not cover point {np.argmin(counts)}")
         if n:
             # a cell is nested when its points' parent labels agree (empty cells never do)
             lo, hi = np.full(len(level), m), np.full(len(level), -1)
@@ -201,10 +174,20 @@ def validate_admissible(tree: PartitionTree) -> np.ndarray:
                 raise NotAdmissibleError(
                     f"level {n} cell {tuple(cell)} is not nested in a single parent"
                 )
+    return labels
+
+
+def validate_admissible(tree: PartitionTree) -> np.ndarray:
+    """Raise NotAdmissibleError naming the first violated invariant.
+
+    Returns the (levels, m) labels: row n holds each point's cell number at
+    level n.
+    """
+    labels = _nested_labels(tree)
     spread = ~_point_cells(tree.pointset.points, labels[-1])
     if spread.any():
         raise NotAdmissibleError(
-            f"final level cell {tuple(levels[-1][int(np.argmax(spread))])} is neither a "
+            f"final level cell {tuple(tree.levels[-1][int(np.argmax(spread))])} is neither a "
             "singleton nor a zero-diameter duplicate group"
         )
     return labels
@@ -475,21 +458,12 @@ def exact_small_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     if pset.m > 8:
         raise ValueError(f"exact enumeration is limited to m <= 8 points, got {pset.m}")
     m = pset.m
-    whole = (tuple(range(m)),)
-    singletons = tuple((i,) for i in range(m))
-    if m == 1:
-        return PartitionTree(pset, (whole,))
-    if m <= 4:
-        return PartitionTree(pset, (whole, singletons))
-    dist = _distance_matrix(pset, metric)
-    _, assign = _best_partition_max_diam(dist, 4)
-    blocks: dict[int, list[int]] = {}
-    for i, b in enumerate(assign):
-        blocks.setdefault(b, []).append(i)
-    level1 = tuple(tuple(blocks[b]) for b in sorted(blocks))
-    if all(len(cell) == 1 for cell in level1):
-        return PartitionTree(pset, (whole, level1))
-    return PartitionTree(pset, (whole, level1, singletons))
+    rows = [np.zeros(m, dtype=np.int64)]
+    if m > 4:
+        rows.append(np.array(_best_partition_max_diam(_distance_matrix(pset, metric), 4)[1]))
+    if m > 1:  # past 4 points, one of the at most 4 level-1 cells holds two
+        rows.append(np.arange(m))
+    return _tree(pset, rows)
 
 
 def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
@@ -565,7 +539,8 @@ def intersect_trees(a: PartitionTree, b: PartitionTree) -> PartitionTree:
 
     The cardinality budget transfers because |A_{n-1}| * |B_{n-1}| <=
     (2^(2^(n-1)))^2 = 2^(2^n).  Levels past a tree's depth reuse its final
-    partition.
+    partition, so either tree may stop short of singletons; both must
+    otherwise pass validate_admissible, or NotAdmissibleError is raised.
     """
     if a.pointset is not b.pointset and not np.array_equal(
         a.pointset.points, b.pointset.points
@@ -573,7 +548,7 @@ def intersect_trees(a: PartitionTree, b: PartitionTree) -> PartitionTree:
         raise ValueError("trees must partition the same point set")
     pset = a.pointset
     m = pset.m
-    la, lb = _level_labels(a), _level_labels(b)
+    la, lb = _nested_labels(a), _nested_labels(b)
     rows = [np.zeros(m, dtype=np.int64)]
     for n in range(1, max(len(la), len(lb)) + 1):
         if _point_cells(pset.points, rows[-1]).all():

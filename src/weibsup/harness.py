@@ -593,9 +593,11 @@ def moment_check(
     tv = np.asarray(t, dtype=np.float64)
     if tv.ndim != 1 or tv.size == 0:
         raise ValueError("t must be a nonempty vector")
+    if not np.isfinite(tv).all():
+        raise ValueError(f"t entries must be finite, got {tv[~np.isfinite(tv)][0]}")
     for p in p_list:
-        if p < 2.0:
-            raise ValueError(f"moment orders must be >= 2, got {p}")
+        if not 2.0 <= p < math.inf:
+            raise ValueError(f"moment orders must be finite and >= 2, got {p}")
     reports: list[BoundReport] = []
     for idx, p in enumerate(p_list):
 

@@ -175,6 +175,24 @@ def _mc_mean(
     return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), top)
 
 
+def _esup(
+    pset: PointSet,
+    coefficients: Callable[[np.random.Generator, int, int], np.ndarray],
+    samples: int,
+    stream: RandomStream,
+    workers: int,
+) -> SupEstimate:
+    """Monte Carlo E max over the points of <coeff, t>, where
+    ``coefficients(rng, count, dim)`` draws ``count`` coefficient rows."""
+    points_t = np.ascontiguousarray(pset.points.T)
+
+    def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        return (coefficients(rng, count, pset.dim) @ points_t).max(axis=1)
+
+    mean, stderr = _mc_mean(values, samples, stream, workers)
+    return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
+
+
 def esup_mc(
     pset: PointSet,
     driver: Driver,
@@ -183,15 +201,7 @@ def esup_mc(
     workers: int = 1,
 ) -> SupEstimate:
     """E sup_{t in T} sum_k t_k X_k by Monte Carlo over independent draws."""
-    points_t = np.ascontiguousarray(pset.points.T)
-    n = pset.dim
-
-    def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        coeff = driver.coefficients(rng, count, n)
-        return (coeff @ points_t).max(axis=1)
-
-    mean, stderr = _mc_mean(values, samples, stream, workers)
-    return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
+    return _esup(pset, driver.coefficients, samples, stream, workers)
 
 
 def esup_rep_mc(
@@ -228,15 +238,12 @@ def esup_permuted_weighted(
     if not 1 <= prefix_len <= n:
         raise ValueError(f"prefix length must lie in [1, {n}], got {prefix_len}")
     masked = np.where(np.arange(n) < prefix_len, a, 0.0)
-    points_t = np.ascontiguousarray(pset.points.T)
 
-    def values(rng: np.random.Generator, count: int) -> np.ndarray:
+    def coefficients(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
         g = rng.standard_normal((count, n))
-        coeff = g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
-        return (coeff @ points_t).max(axis=1)
+        return g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
 
-    mean, stderr = _mc_mean(values, samples, stream, workers)
-    return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
+    return _esup(pset, coefficients, samples, stream, workers)
 
 
 def rearrange_nonincreasing(values) -> np.ndarray:

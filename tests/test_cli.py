@@ -206,6 +206,38 @@ def test_overflowing_inputs_exit_2_with_one_line(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["--t", "1", "--p", "2,nan"], "nan"),
+        (["--t", "1", "--p", "2,inf"], "inf"),
+        (["--t", "1,inf", "--p", "2"], "inf"),
+    ],
+    ids=["p_nan", "p_inf", "t_inf"],
+)
+def test_non_finite_moment_inputs_exit_2_naming_the_value(capsys, argv, value):
+    assert main(["moments", *argv, "--r", "1", "--samples", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"got {value}\n" in err and "draw" not in err
+
+
+@pytest.mark.parametrize("command", ["gamma", "verify"])
+def test_non_finite_csv_entry_exits_2_naming_the_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.csv").write_text("0,1\n2,nan\n")
+    config = {"name": "main_bound", "families": [{"kind": "csv_file", "path": "pts.csv"}],
+              "r_values": [1.0], "samples": 200, "num_perms": 1, "out": "report.json"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = {"gamma": ["gamma", "--set", "pts.csv", "--samples", "200"],
+            "verify": ["verify", "--config", "config.json"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "pts.csv:2: non-finite entry" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
     "rows, greedy",
     [
         ("1e300,0\n-1e300,0\n", 2e300),  # a finite distance whose square overflows

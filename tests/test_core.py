@@ -393,6 +393,13 @@ class TestCsvRoundtrip:
         with pytest.raises(ValueError, match="non-numeric"):
             load_points_csv(str(path))
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_rejected(self, tmp_path, entry):
+        path = tmp_path / "f.csv"
+        path.write_text(f"# x,y\n1,2\n3,{entry}\n")
+        with pytest.raises(ValueError, match=r"f\.csv:3: non-finite entry$"):
+            load_points_csv(str(path))
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("# only a header\n")

@@ -512,7 +512,42 @@ def closed_form_exact_small(ps: PointSet, metric: Metric, alpha: float) -> float
     return whole + 2.0 ** (1.0 / alpha) * best
 
 
+def reference_exact_small_tree(ps: PointSet, metric: Metric) -> PartitionTree:
+    """The optimal small tree as it was written over cell tuples, kept as the
+    reference for the label-row construction."""
+    m = ps.m
+    whole = (tuple(range(m)),)
+    singletons = tuple((i,) for i in range(m))
+    if m == 1:
+        return PartitionTree(ps, (whole,))
+    if m <= 4:
+        return PartitionTree(ps, (whole, singletons))
+    _, assign = weibsup.gamma._best_partition_max_diam(pairwise_distance_matrix(ps, metric), 4)
+    blocks: dict[int, list[int]] = {}
+    for i, b in enumerate(assign):
+        blocks.setdefault(b, []).append(i)
+    level1 = tuple(tuple(blocks[b]) for b in sorted(blocks))
+    if all(len(cell) == 1 for cell in level1):
+        return PartitionTree(ps, (whole, level1))
+    return PartitionTree(ps, (whole, level1, singletons))
+
+
 class TestExactSmall:
+    @pytest.mark.parametrize("metric", [L2, LINF, Metric.lp(1.5)], ids=str)
+    def test_matches_tuple_construction(self, metric):
+        rng = np.random.default_rng(84)
+        for case in range(96):
+            m = case % 8 + 1
+            pts = rng.standard_normal((m, 2))
+            if case % 3 == 0:  # rounded: tied distances and duplicate points
+                pts = np.round(pts)
+            elif case % 3 == 1:  # repeats drawn from a few distinct points
+                pts = pts[rng.integers(0, max(1, m // 2), size=m)]
+            ps = PointSet(pts)
+            tree = exact_small_tree(ps, metric)
+            assert tree.levels == reference_exact_small_tree(ps, metric).levels
+            validate_admissible(tree)
+
     @pytest.mark.parametrize("metric", [L2, LINF, Metric.lp(1.5)], ids=str)
     def test_matches_closed_form_bitwise(self, metric):
         rng = np.random.default_rng(83)
@@ -778,6 +813,23 @@ class TestIntersect:
             a, b = build_greedy_tree(ps, L2), build_greedy_tree(ps, LINF)
             for x, y in ((a, b), (b, a), (a, a)):
                 assert intersect_trees(x, y).levels == reference(x, y)
+
+    @pytest.mark.parametrize(
+        "level1, message",
+        [
+            (((0, 1), (2,)), "level 1 does not cover point 3"),
+            (((0, 1), (1, 2, 3)), "level 1 cells overlap at point 1"),
+            (((0, 1), (2, 3, 7)), "level 1 references point index 7"),
+        ],
+        ids=["uncovered", "overlap", "out_of_range"],
+    )
+    def test_malformed_input_rejected(self, level1, message):
+        ps = random_set(75, 4, 2)
+        bad = PartitionTree(ps, ((tuple(range(4)),), level1))
+        good = build_greedy_tree(ps, L2)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(NotAdmissibleError, match=f"^{message}$"):
+                intersect_trees(a, b)
 
     def test_mismatched_sets_rejected(self):
         a = build_greedy_tree(random_set(73, 5, 2), L2)
