@@ -60,12 +60,19 @@ class RandomStream:
         return RandomStream(self.seed, mixed)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def _ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
     """[fn(x) for x in items], on a pool of ``workers`` threads when workers > 1.
 
     Results keep the order of ``items``, so callers that merge them in that
-    order get the same bits for any worker count.
+    order get the same bits for any worker count.  A count below 1 raises
+    ValueError.
     """
+    _check_workers(workers)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
@@ -141,21 +148,32 @@ class PointSet:
 
 
 def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
-    """Distance between two vectors under the given lp metric."""
+    """Distance between two vectors under the given lp metric: the entry of their
+    distance matrix, so it overflows, raising ValueError, where that does."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     if av.ndim != 1 or bv.ndim != 1:
         raise ValueError("distance expects 1-D vectors")
     if av.shape != bv.shape:
         raise ValueError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    # a one-row array: numpy's scalar power can differ in the last bit from its
-    # array loop, which the matrix and the norms use
-    return float(point_norms((av - bv)[None, :], metric)[0])
+    return float(pairwise_distance_matrix(np.stack([av, bv]), metric)[0, 1])
 
 
 def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
-    """Norm of each row of ``points`` under the metric's norm; every distance here is one."""
+    """Norm of each row of ``points`` under the metric's norm: the distance the
+    distance matrix gives between that row and the origin.  Each l2 row is scaled
+    by its own power of two, as that matrix would scale it, so a norm is inf only
+    where it overflows float64 itself."""
     x = np.asarray(points, dtype=np.float64)
+    if metric.p != 2.0:
+        return _row_norms(x, metric)
+    exp = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
+    return np.ldexp(_row_norms(np.ldexp(x, -exp[:, None]), metric), exp)
+
+
+def _row_norms(x: np.ndarray, metric: Metric) -> np.ndarray:
+    """The unscaled norm of each row of the float64 array ``x``, the kernel of every
+    distance here."""
     if math.isinf(metric.p):
         return np.max(np.abs(x), axis=1)
     if metric.p == 2.0:
@@ -235,7 +253,7 @@ def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> n
     out = np.empty((pts.shape[0], pts.shape[0]))
     with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
         for i in range(pts.shape[0]):
-            out[i, i:] = point_norms(pts[i] - pts[i:], metric)
+            out[i, i:] = _row_norms(pts[i] - pts[i:], metric)
             out[i + 1:, i] = out[i, i + 1:]
         np.ldexp(out, exp, out=out)
     if not np.isfinite(out).all():

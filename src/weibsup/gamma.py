@@ -24,9 +24,9 @@ from .core import (
     Metric,
     PointSet,
     RandomStream,
+    _row_norms,
     _unit_scaled,
     pairwise_distance_matrix,
-    point_norms,
 )
 from .mcsup import Driver, esup_mc
 
@@ -197,7 +197,7 @@ def _center_norms(pset: PointSet, metric: Metric) -> np.ndarray:
     """The norms that pick the first center: those of the unit-scaled points,
     which cannot overflow.  Under l2 and linf they are the unscaled norms times
     one power of two wherever those are finite, so the order is the same."""
-    return point_norms(_unit_scaled(pset.points)[0], metric)
+    return _row_norms(_unit_scaled(pset.points)[0], metric)
 
 
 def _first_max(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:

@@ -10,12 +10,12 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, load_points_csv
+from .core import Metric, PointSet, RandomStream, _check_workers, load_points_csv
 from .gamma import (
     build_greedy_tree,
     chaining_bound,
@@ -59,7 +59,11 @@ _FAMILY_KINDS = {
     "scaled_basis": ("n", "decay"),
     "csv_file": ("path",),
 }
-_DECAYS = ("harmonic", "sqrt", "none")
+# the type of every family key but kind: a compact spec's text is converted to it,
+# and a config value must be of it (an int will do for a float) or, but for seed, null
+_FAMILY_KEYS = {"seed": int, "n": int, "m": int, "scale": float, "decay": str, "path": str}
+# the coordinates of each scaled_basis decay, as a function of the array k = 1..n
+_DECAYS = {"harmonic": lambda k: 1.0 / k, "sqrt": lambda k: 1.0 / np.sqrt(k), "none": np.ones_like}
 # r range of each experiment, as (lo, hi, closed): the range its bound is stated on
 _R_RANGES = {
     "main_bound": (0.0, 2.0, False),
@@ -114,14 +118,13 @@ class InstanceFamily:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _FAMILY_KINDS:
             raise ConfigError(f"unknown family kind {self.kind!r}")
-        # scaled_basis may restate its m = n points
-        stray = [
-            key for key in ("n", "m", "scale", "decay", "path")
-            if getattr(self, key) is not None and key not in _FAMILY_KINDS[self.kind]
-            and (key, self.kind) != ("m", "scaled_basis")
-        ]
+        # every kind takes a seed, and scaled_basis may restate its m = n points
+        takes = {"seed", *_FAMILY_KINDS[self.kind]}
+        if self.kind == "scaled_basis":
+            takes.add("m")
+        stray = [key for key in _FAMILY_KEYS if key not in takes and getattr(self, key) is not None]
         if stray:
             raise ConfigError(f"{self.kind} takes no {', '.join(stray)}")
         if self.kind == "hypercube_subset":
@@ -134,15 +137,15 @@ class InstanceFamily:
                 raise ConfigError("gaussian_cloud needs n >= 1 and m >= 1")
             if self.scale is None:
                 object.__setattr__(self, "scale", 1.0)
-            if not self.scale > 0.0:
-                raise ConfigError("gaussian_cloud needs scale > 0")
+            if not 0.0 < self.scale < math.inf:
+                raise ConfigError(f"gaussian_cloud needs a finite scale > 0, got {self.scale}")
         elif self.kind == "scaled_basis":
             if self.n is None or self.n < 1:
                 raise ConfigError("scaled_basis needs n >= 1")
             if self.decay is None:
                 object.__setattr__(self, "decay", "harmonic")
-            if self.decay not in _DECAYS:
-                raise ConfigError(f"scaled_basis decay must be one of {_DECAYS}")
+            if not isinstance(self.decay, str) or self.decay not in _DECAYS:
+                raise ConfigError(f"scaled_basis decay must be one of {tuple(_DECAYS)}")
             if self.m is not None and self.m != self.n:
                 raise ConfigError("scaled_basis has m = n points")
         elif self.kind == "csv_file":
@@ -173,62 +176,48 @@ class InstanceFamily:
         elif self.kind == "gaussian_cloud":
             pts = rng.standard_normal((self.m, self.n)) * self.scale
         else:
-            k = np.arange(1.0, self.n + 1.0)
-            if self.decay == "harmonic":
-                c = 1.0 / k
-            elif self.decay == "sqrt":
-                c = 1.0 / np.sqrt(k)
-            else:
-                c = np.ones_like(k)
-            pts = np.diag(c)
+            pts = np.diag(_DECAYS[self.decay](np.arange(1.0, self.n + 1.0)))
         return PointSet(pts, label=self.descriptor())
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], default_seed: int = 0) -> "InstanceFamily":
         if not isinstance(data, dict):
             raise ConfigError(f"family entries must be objects, got {type(data).__name__}")
-        allowed = {"kind", "seed", "n", "m", "scale", "decay", "path"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {"kind", *_FAMILY_KEYS}
         if unknown:
             raise ConfigError(f"unknown family keys: {sorted(unknown)}")
         if "kind" not in data:
             raise ConfigError("family entry is missing 'kind'")
-        optional_int = (int, type(None))
-        return cls(
-            kind=data["kind"],
-            seed=_typed(data, "seed", (int,), default_seed),
-            n=_typed(data, "n", optional_int),
-            m=_typed(data, "m", optional_int),
-            scale=_typed(data, "scale", (int, float, type(None))),
-            decay=data.get("decay"),
-            path=_typed(data, "path", (str, type(None))),
-        )
+        values = {}
+        for key, typ in _FAMILY_KEYS.items():  # all but seed may be null
+            kinds = ((int, float) if typ is float else (typ,)) + (type(None),) * (key != "seed")
+            values[key] = _typed(data, key, kinds, default_seed if key == "seed" else None)
+        return cls(kind=data["kind"], **values)
 
     @classmethod
     def from_spec(cls, text: str, seed: int = 0) -> "InstanceFamily":
-        """Parse the compact CLI form, e.g. ``gaussian_cloud(16,64,1.5)``."""
+        """Parse the compact CLI form ``kind(args)``, each arg positional or ``name=value``."""
         text = text.strip()
         if "(" not in text or not text.endswith(")"):
             raise ConfigError(f"bad family spec {text!r}; expected kind(args)")
-        kind, _, arg_text = text[:-1].partition("(")
-        kind = kind.strip()
-        args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
-        kwargs: dict[str, Any] = {"kind": kind, "seed": seed}
-        positional = _FAMILY_KINDS.get(kind)
-        if positional is None:
+        kind, arg_text = (part.strip() for part in text[:-1].split("(", 1))
+        args = [a.strip() for a in arg_text.split(",")] if arg_text else []
+        if kind not in _FAMILY_KINDS:
             raise ConfigError(f"unknown family kind {kind!r}")
-        if len(args) > len(positional):
+        if len(args) > len(_FAMILY_KINDS[kind]):
             raise ConfigError(f"too many arguments for {kind}")
-        for name, raw in zip(positional, args):
+        data: dict[str, Any] = {}
+        for name, raw in zip(_FAMILY_KINDS[kind], args):
             if "=" in raw:
                 name, raw = (part.strip() for part in raw.split("=", 1))
-            if name in ("n", "m"):
-                kwargs[name] = int(raw)
-            elif name == "scale":
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = raw
-        return cls(**kwargs)
+                if name in ("kind", "seed"):
+                    raise ConfigError(f"{name} cannot be set inside a family spec")
+            typ = _FAMILY_KEYS.get(name, str)  # from_dict rejects an unknown name
+            try:
+                data[name] = typ(raw)
+            except ValueError:
+                raise ConfigError(f"{name} must be of type {typ.__name__}, got {raw!r}") from None
+        return cls.from_dict(data | {"kind": kind}, default_seed=seed)
 
 
 @dataclass(frozen=True)
@@ -262,14 +251,10 @@ class RunConfig:
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        allowed = {
-            "name", "families", "r_values", "samples", "num_perms",
-            "gamma_method", "window", "seed", "out",
-        }
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("name", "families", "r_values"):
+        for key in (f.name for f in fields(cls) if f.default is MISSING):
             if key not in data:
                 raise ConfigError(f"config is missing required key {key!r}")
         seed = _typed(data, "seed", (int,), 0)
@@ -636,16 +621,9 @@ def moment_check(
 
 
 def _config_echo(cfg: RunConfig) -> dict[str, Any]:
-    return {
-        "name": cfg.name,
-        "families": [fam.descriptor() for fam in cfg.families],
-        "r_values": list(cfg.r_values),
-        "samples": cfg.samples,
-        "num_perms": cfg.num_perms,
-        "gamma_method": cfg.gamma_method,
-        "window": list(cfg.window),
-        "seed": cfg.seed,
-    }
+    """The config as its report repeats it: all but out, each family by its descriptor."""
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "out"}
+    return echo | {"families": [fam.descriptor() for fam in cfg.families]}
 
 
 def reports_json_text(reports: Sequence[BoundReport], config: dict[str, Any] | None = None) -> str:
@@ -692,7 +670,7 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
     Everything that can fail before an instance runs is checked first:
     reading and parsing the config, ``overrides`` (top-level values such as
     samples, num_perms, seed or out, applied before validation), validation,
-    materializing every family and opening the report file.  Any of these
+    the worker count, materializing every family and opening the report file.  Any of these
     failures prints one ``error: <config>: <reason>`` line and yields exit
     status 2 with no report written.  Instance failures are recorded with an
     error marker and the partial report is still persisted (exit status 1).
@@ -703,6 +681,7 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
         if overrides and isinstance(data, dict):  # any other root is rejected below
             data = data | {k: v for k, v in overrides.items() if v is not None}
         cfg = RunConfig.from_dict(data)
+        _check_workers(workers)
         if cfg.name == "counterexample":
             reports, grid = _counterexample_from_config(cfg), []
         else:

@@ -170,6 +170,48 @@ def test_bad_family_spec():
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("gaussian_cloud(foo=3)", "unknown family keys: ['foo']"),
+        ("gaussian_cloud(4,8,seed=3)", "seed cannot be set inside a family spec"),
+    ],
+)
+def test_family_spec_argument_errors_exit_2_with_one_line(capsys, spec, message):
+    assert main(["simulate", "--family", spec, "--samples", "200"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_infinite_scale_in_a_config_exits_2_naming_scale(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(
+        '{"name": "main_bound", "r_values": [1.0], "out": "report.json",'
+        ' "families": [{"kind": "gaussian_cloud", "n": 2, "m": 3, "scale": Infinity}]}'
+    )
+    assert main(["verify", "--config", "config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config.json: gaussian_cloud needs a finite scale > 0, got inf\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "gamma", "verify"])
+def test_workers_below_one_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, workers):
+    monkeypatch.chdir(tmp_path)
+    config = {"name": "main_bound", "families": [{"kind": "gaussian_cloud", "n": 2, "m": 3}],
+              "r_values": [1.0], "samples": 200, "num_perms": 1, "out": "report.json"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    source = ["--family", "gaussian_cloud(2,3)", "--samples", "200"]
+    argv = {"simulate": ["simulate", *source], "gamma": ["gamma", *source],
+            "verify": ["verify", "--config", "config.json"]}[command]
+    assert main([*argv, "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f"workers must be at least 1, got {workers}\n")
+    assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gamma", "--set", "missing.csv"],

@@ -11,6 +11,7 @@ from weibsup.core import (
     Metric,
     PointSet,
     RandomStream,
+    _ordered_map,
     _weighted_l2_matrices,
     diameter,
     distance,
@@ -119,6 +120,29 @@ class TestKernelAgreement:
         mat = pairwise_distance_matrix(np.array([a, b, a]), metric)
         assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
         assert np.all(np.diag(mat) == 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b, metric",
+        [
+            ([0.0], [3.849962828769751e-239], Metric.l2()),  # the square underflows
+            ([1e6, 1e-310], [1e6, 0.0], Metric.linf()),  # scaling drops subnormal bits
+            ([0.0], [1e300], Metric.l2()),  # the square overflows
+            ([1e-200, 3e-200], [0.0, 1e-170], Metric.l2()),  # every square underflows
+        ],
+    )
+    def test_extreme_distances_and_norms_are_matrix_entries(self, a, b, metric):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = pairwise_distance_matrix(np.array([a, b]), metric)[0, 1]
+            assert 0.0 < distance(a, b, metric) == entry < math.inf
+            norms = point_norms(np.array([a, b]), metric)
+            zero = [0.0] * len(a)
+            assert norms[0] == pairwise_distance_matrix(np.array([a, zero]), metric)[0, 1]
+            assert norms[1] == pairwise_distance_matrix(np.array([b, zero]), metric)[0, 1]
+
+    def test_overflowing_distance_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            distance([-1e308, 0.0], [1e308, 0.0], Metric.l2())
 
 
 def full_row_matrix(pts: np.ndarray, metric: Metric) -> np.ndarray:
@@ -359,6 +383,15 @@ class TestRandomStream:
     def test_child_rejects_negative(self):
         with pytest.raises(ValueError):
             RandomStream(0).child(-1)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        calls = []
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}$"):
+            _ordered_map(calls.append, range(3), workers)
+        assert calls == []
 
 
 class TestCsvRoundtrip:

@@ -105,6 +105,58 @@ class TestInstanceFamily:
         with pytest.raises(ConfigError):
             InstanceFamily.from_spec("gaussian_cloud[16]")
 
+    @pytest.mark.parametrize(
+        "spec, entry",
+        [
+            ("gaussian_cloud(16,64,1.5)", {"n": 16, "m": 64, "scale": 1.5}),
+            ("gaussian_cloud(16,64)", {"n": 16, "m": 64}),
+            ("gaussian_cloud(n=16,m=64,scale=2)", {"n": 16, "m": 64, "scale": 2.0}),
+            ("gaussian_cloud(16, scale=0.5, m=8)", {"n": 16, "m": 8, "scale": 0.5}),
+            ("hypercube_subset(6,20)", {"n": 6, "m": 20}),
+            ("hypercube_subset(m=20,n=6)", {"n": 6, "m": 20}),
+            ("scaled_basis(8)", {"n": 8}),
+            ("scaled_basis(8,sqrt)", {"n": 8, "decay": "sqrt"}),
+            ("scaled_basis(decay=none,n=8)", {"n": 8, "decay": "none"}),
+            ("scaled_basis(8,m=8)", {"n": 8, "m": 8}),
+            ("csv_file(points.csv)", {"path": "points.csv"}),
+            ("csv_file(path=points.csv)", {"path": "points.csv"}),
+        ],
+    )
+    def test_from_spec_equals_from_dict(self, spec, entry):
+        kind = spec.partition("(")[0]
+        fam = InstanceFamily.from_spec(spec, seed=9)
+        assert fam == InstanceFamily.from_dict({"kind": kind, **entry}, default_seed=9)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gaussian_cloud(foo=3)", r"unknown family keys: \['foo'\]$"),
+            ("gaussian_cloud(4,8,seed=3)", "seed cannot be set"),
+            ("gaussian_cloud(kind=scaled_basis)", "kind cannot be set"),
+            ("gaussian_cloud(x)", "n must be of type int, got 'x'"),
+            ("gaussian_cloud(4,8,wide)", "scale must be of type float, got 'wide'"),
+            ("gaussian_cloud(4,8,1,2)", "too many arguments"),
+            ("wat(1)", "unknown family kind 'wat'"),
+        ],
+    )
+    def test_from_spec_rejects_malformed_arguments(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            InstanceFamily.from_spec(spec)
+
+    def test_scale_must_be_finite(self):
+        with pytest.raises(ConfigError, match="finite scale > 0, got inf"):
+            InstanceFamily.from_dict({"kind": "gaussian_cloud", "n": 4, "m": 8, "scale": math.inf})
+        with pytest.raises(ConfigError, match="finite scale > 0, got inf"):
+            InstanceFamily.from_spec("gaussian_cloud(4,8,inf)")
+
+    def test_decay_is_type_checked(self):
+        with pytest.raises(ConfigError, match="decay must be of type str or null, got 3"):
+            InstanceFamily.from_dict({"kind": "scaled_basis", "n": 4, "decay": 3})
+
+    def test_unhashable_kind_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"unknown family kind \[\]"):
+            InstanceFamily.from_dict({"kind": []})
+
 
 class TestRunConfig:
     def base(self) -> dict:
