@@ -76,8 +76,7 @@ def _emit(doc, args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     pset = _load_set(args)
-    takes_r = args.driver in ("weibull", "cond_gaussian")  # --r is ignored for the others
-    driver = Driver(args.driver, r=args.r if takes_r else None)
+    driver = Driver(args.driver, r=args.r)
     est = esup_mc(pset, driver, args.samples, RandomStream(args.seed), args.workers)
     _emit(
         {

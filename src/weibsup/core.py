@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -166,19 +167,19 @@ def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
     where it overflows float64 itself."""
     x = np.asarray(points, dtype=np.float64)
     if metric.p != 2.0:
-        return _row_norms(x, metric)
+        return _row_norms(x.copy(), metric)
     exp = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
     return np.ldexp(_row_norms(np.ldexp(x, -exp[:, None]), metric), exp)
 
 
 def _row_norms(x: np.ndarray, metric: Metric) -> np.ndarray:
-    """The unscaled norm of each row of the float64 array ``x``, the kernel of every
-    distance here."""
+    """The unscaled norm along the last axis of the float64 array ``x``, which it
+    overwrites: the kernel of every distance here."""
     if math.isinf(metric.p):
-        return np.max(np.abs(x), axis=1)
+        return np.max(np.abs(x, out=x), axis=-1)
     if metric.p == 2.0:
-        return np.sqrt(np.sum(x * x, axis=1))
-    return np.sum(np.abs(x) ** metric.p, axis=1) ** (1.0 / metric.p)
+        return np.sqrt(np.sum(np.square(x, out=x), axis=-1))
+    return np.sum(np.power(np.abs(x, out=x), metric.p, out=x), axis=-1) ** (1.0 / metric.p)
 
 
 def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -191,74 +192,72 @@ def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(pts, -exp), exp
 
 
+def _distance_matrices(pts: np.ndarray, metric: Metric, rows: int, reduce: Callable) -> np.ndarray:
+    """The distance matrices ``reduce`` gives of the points, each pair computed once.
+
+    The upper triangle is walked in blocks of ``rows`` rows.  A block's differences
+    t_i - t_j (j >= i) fill one (b, w, n) buffer, which ``reduce`` may overwrite as
+    it turns them into distances, a writable (..., b, w) array.  Each block is
+    mirrored into its columns: fl(t_j - t_i) = -fl(t_i - t_j) and no distance
+    reads signs, so every matrix is exactly symmetric.  Under l2 and linf the
+    points are unit scaled and each block scaled back in place, which changes no
+    bit short of underflow, so only a distance that itself overflows float64
+    raises ValueError (under other p, also one whose p-th power does)."""
+    exp = 0
+    if metric.p in (2.0, math.inf):
+        pts, exp = _unit_scaled(pts)
+    m, n = pts.shape
+    diff_buf, col = np.empty(rows * m * n), pts[:, None]
+    # an empty block tells how many matrices the reduction gives
+    out = np.empty(reduce(diff_buf[:0].reshape(0, 0, n)).shape[:-2] + (m, m))
+    mirror = np.swapaxes(out, -1, -2)
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
+        for i0 in range(0, m, rows):
+            i1 = min(i0 + rows, m)
+            diff = diff_buf[: (i1 - i0) * (m - i0) * n].reshape(i1 - i0, m - i0, n)
+            block = reduce(np.subtract(col[i0:i1], pts[i0:], out=diff))
+            np.ldexp(block, exp, out=block)
+            mirror[..., i0:i1, i0:] = block
+            out[..., i0:i1, i0:] = block
+            for r in range(i1 - i0 - 1):  # inside the block, the lower half mirrors the upper
+                out[..., i0 + r + 1:i1, i0 + r] = block[..., r, r + 1:i1 - i0]
+    if not out.max(initial=0.0) < np.inf:  # also catches NaN
+        raise ValueError(f"{metric} distances between these points overflow float64")
+    return out
+
+
 def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
     """Read-only (K, m, m) array: matrix k is sqrt(sum_c a_c (t_ic - t_jc)^2),
     with a = sq_weights[k], the l2 matrix of the points with coordinate c
-    weighted by sqrt(a_c).
-
-    The upper triangle is walked in blocks of max(1, m // n) rows, so one block
-    holds about m^2 squared differences at most (m * n when n > m).  Each block is
-    squared once and then multiplied by each weight row separately, so matrix k
-    has the same bits for any K; each row is mirrored into its column, so every
-    matrix is exactly symmetric with a zero diagonal.  The points are unit
-    scaled first and the result scaled back, so only a weighted distance that
-    itself overflows float64 raises ValueError.
-    """
-    pts, exp = _unit_scaled(points)
-    a = np.asarray(sq_weights, dtype=np.float64)
+    weighted by sqrt(a_c).  Blocks are max(1, m // n) rows high, about m^2 squared
+    differences at most (m * n when n > m), and BLAS fixes the bits of a product
+    by that shape.  Each block is squared once and multiplied by each weight row
+    separately, so matrix k has the same bits for any K."""
+    pts, a = np.asarray(points, dtype=np.float64), np.asarray(sq_weights, dtype=np.float64)
     m, n = pts.shape
-    k = a.shape[0]
-    out = np.empty((k, m, m))
     rows = max(1, m // n)
-    # one buffer each for the block's squared differences and its K sums
-    diff_buf, sums_buf = np.empty(rows * m * n), np.empty(k * rows * m)
-    for i0 in range(0, m, rows):
-        i1 = min(i0 + rows, m)
-        b = i1 - i0
-        diff = diff_buf[: b * (m - i0) * n].reshape(b, m - i0, n)
-        np.subtract(pts[i0:i1, None, :], pts[None, i0:, :], out=diff)
-        flat = np.square(diff, out=diff).reshape(-1, n)
-        sums = sums_buf[: k * flat.shape[0]].reshape(k, -1)
+    sums_buf = np.empty(len(a) * rows * m)
+
+    def weighted_norms(diff: np.ndarray) -> np.ndarray:
+        sq = np.square(diff, out=diff).reshape(-1, n)
+        sums = sums_buf[: len(a) * len(sq)].reshape(len(a), -1)
         for a_k, s_k in zip(a, sums):
-            np.matmul(flat, a_k, out=s_k)
-        sums = sums.reshape(k, b, m - i0)
-        out[:, i0:i1, i0:] = sums
-        out[:, i1:, i0:i1] = sums[:, :, b:].transpose(0, 2, 1)
-        for r in range(b):  # inside the block, the lower half mirrors the upper
-            out[:, i0 + r + 1:i1, i0 + r] = sums[:, r, r + 1:b]
-    np.sqrt(out, out=out)
-    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
-        np.ldexp(out, exp, out=out)
-    if not out.max() < np.inf:  # also catches NaN
-        raise ValueError(f"{Metric.l2()} distances between these points overflow float64")
+            np.matmul(sq, a_k, out=s_k)
+        return np.sqrt(sums, out=sums).reshape(len(a), *diff.shape[:2])
+
+    out = _distance_matrices(pts, Metric.l2(), rows, weighted_norms)
     out.flags.writeable = False
     return out
 
 
 def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> np.ndarray:
-    """Dense m-by-m distance matrix, built one row at a time in O(m^2) memory.
-
-    Each unordered pair is computed once and mirrored: fl(b - a) = -fl(a - b)
-    and every norm ignores signs, so the mirrored entry has the bits its own
-    row would give it, and the matrix is exactly symmetric.  Under l2 and linf
-    the points are unit scaled first and the matrix scaled back, which changes
-    no bit short of underflow, so only a distance that itself overflows
-    float64 raises ValueError; under other p, so does any whose p-th power
-    overflows.
-    """
+    """Dense m-by-m distance matrix.  Its bits do not depend on the block height, so
+    a block is as many rows as fit 2^16 differences (one row if a row is larger):
+    enough to spread the walk's per-block work over short rows, and too few to
+    add more than 512 KB to the matrix's own O(m^2) memory."""
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
-    exp = 0
-    if metric.p in (2.0, math.inf):
-        pts, exp = _unit_scaled(pts)
-    out = np.empty((pts.shape[0], pts.shape[0]))
-    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
-        for i in range(pts.shape[0]):
-            out[i, i:] = _row_norms(pts[i] - pts[i:], metric)
-            out[i + 1:, i] = out[i, i + 1:]
-        np.ldexp(out, exp, out=out)
-    if not np.isfinite(out).all():
-        raise ValueError(f"{metric} distances between these points overflow float64")
-    return out
+    rows = max(1, 2**16 // max(1, pts.size))
+    return _distance_matrices(pts, metric, rows, functools.partial(_row_norms, metric=metric))
 
 
 def diameter(pset: PointSet, subset: Sequence[int], metric: Metric) -> float:

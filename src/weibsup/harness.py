@@ -212,6 +212,8 @@ class InstanceFamily:
                 name, raw = (part.strip() for part in raw.split("=", 1))
                 if name in ("kind", "seed"):
                     raise ConfigError(f"{name} cannot be set inside a family spec")
+            if name in data:
+                raise ConfigError(f"{name} is given twice in family spec {text!r}")
             typ = _FAMILY_KEYS.get(name, str)  # from_dict rejects an unknown name
             try:
                 data[name] = typ(raw)

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weibsup.cli import main
+from weibsup.core import RandomStream
+from weibsup.harness import moment_check, write_reports_csv
 
 
 def test_simulate_family_json(tmp_path, capsys):
@@ -25,6 +27,13 @@ def test_simulate_family_json(tmp_path, capsys):
 
 def test_simulate_weibull_requires_r(capsys):
     assert main(["simulate", "--family", "gaussian_cloud(4,4,1.0)", "--driver", "weibull"]) == 2
+
+
+@pytest.mark.parametrize("driver", ["gaussian", "rademacher"])
+def test_simulate_rejects_r_for_a_driver_without_one(capsys, driver):
+    argv = ["simulate", "--family", "gaussian_cloud(4,4,1.0)", "--driver", driver, "--r", "0.5"]
+    assert main([*argv, "--samples", "200"]) == 2
+    assert capsys.readouterr().err == f"error: {driver} driver takes no r parameter\n"
 
 
 def test_simulate_from_csv(tmp_path):
@@ -106,6 +115,27 @@ def test_counterexample_bad_n():
     assert main(["counterexample", "--r", "0.5", "--n", "100"]) == 2
 
 
+def test_counterexample_json_out(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["counterexample", "--r", "0.5", "--n", "16,64", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    doc = json.loads(out.read_text())
+    assert doc["config"] == {"r": 0.5, "n_list": [16, 64]}
+    assert len(doc["reports"]) == 2
+
+
+def test_moments_csv_without_out_writes_moments_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["moments", "--t", "1,0,0", "--r", "1", "--p", "2", "--samples", "200"]
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "wrote moments.csv\n"
+    reports = moment_check([1.0, 0.0, 0.0], 1.0, [2.0], 200, RandomStream(0))
+    write_reports_csv(reports, "expected.csv")
+    written = (tmp_path / "moments.csv").read_text()
+    assert written == (tmp_path / "expected.csv").read_text()
+    assert written.startswith("instance,r,")
+
+
 def test_moments_json(tmp_path):
     out = tmp_path / "m.json"
     code = main([
@@ -180,6 +210,14 @@ def test_family_spec_argument_errors_exit_2_with_one_line(capsys, spec, message)
     assert main(["simulate", "--family", spec, "--samples", "200"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+def test_family_key_given_twice_exits_2_with_one_line(capsys):
+    argv = ["simulate", "--family", "scaled_basis(8,n=10)", "--samples", "200"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: n is given twice in family spec 'scaled_basis(8,n=10)'\n"
+    )
 
 
 def test_infinite_scale_in_a_config_exits_2_naming_scale(tmp_path, monkeypatch, capsys):

@@ -301,6 +301,113 @@ class TestWeightedL2Matrices:
         assert peak < (k + 2) * m * m * 8
 
 
+def reference_row_norms(x: np.ndarray, metric: Metric) -> np.ndarray:
+    """The row norms the two reference kernels below were written against."""
+    if math.isinf(metric.p):
+        return np.max(np.abs(x), axis=1)
+    if metric.p == 2.0:
+        return np.sqrt(np.sum(x * x, axis=1))
+    return np.sum(np.abs(x) ** metric.p, axis=1) ** (1.0 / metric.p)
+
+
+def reference_unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
+    pts = np.asarray(points, dtype=np.float64)
+    exp = int(np.frexp(np.abs(pts).max())[1]) if pts.size else 0
+    return np.ldexp(pts, -exp), exp
+
+
+def reference_pairwise(points: np.ndarray, metric: Metric) -> np.ndarray:
+    """The base-set kernel as it was written before the shared pair walk: one row
+    at a time, each row mirrored into its column."""
+    pts = np.asarray(points, float)
+    exp = 0
+    if metric.p in (2.0, math.inf):
+        pts, exp = reference_unit_scaled(pts)
+    out = np.empty((pts.shape[0], pts.shape[0]))
+    with np.errstate(over="ignore"):
+        for i in range(pts.shape[0]):
+            out[i, i:] = reference_row_norms(pts[i] - pts[i:], metric)
+            out[i + 1:, i] = out[i, i + 1:]
+        np.ldexp(out, exp, out=out)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{metric} distances between these points overflow float64")
+    return out
+
+
+def reference_weighted(points: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
+    """The weighted kernel as it was written before the shared pair walk."""
+    pts, exp = reference_unit_scaled(points)
+    a = np.asarray(sq_weights, dtype=np.float64)
+    m, n = pts.shape
+    k = a.shape[0]
+    out = np.empty((k, m, m))
+    rows = max(1, m // n)
+    diff_buf, sums_buf = np.empty(rows * m * n), np.empty(k * rows * m)
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        b = i1 - i0
+        diff = diff_buf[: b * (m - i0) * n].reshape(b, m - i0, n)
+        np.subtract(pts[i0:i1, None, :], pts[None, i0:, :], out=diff)
+        flat = np.square(diff, out=diff).reshape(-1, n)
+        sums = sums_buf[: k * flat.shape[0]].reshape(k, -1)
+        for a_k, s_k in zip(a, sums):
+            np.matmul(flat, a_k, out=s_k)
+        sums = sums.reshape(k, b, m - i0)
+        out[:, i0:i1, i0:] = sums
+        out[:, i1:, i0:i1] = sums[:, :, b:].transpose(0, 2, 1)
+        for r in range(b):
+            out[:, i0 + r + 1:i1, i0 + r] = sums[:, r, r + 1:b]
+    np.sqrt(out, out=out)
+    with np.errstate(over="ignore"):
+        np.ldexp(out, exp, out=out)
+    if not out.max() < np.inf:
+        raise ValueError(f"{Metric.l2()} distances between these points overflow float64")
+    return out
+
+
+def reference_sets() -> list[np.ndarray]:
+    """Seeded sets with m and n from 1 to 140: m >= 2n (several rows per weighted
+    block), n > m, duplicate rows, +-1 corners, and points near 1e154 and 1e-300."""
+    rng = np.random.default_rng(31)
+    sets = []
+    for m, n in [(1, 1), (1, 7), (2, 1), (5, 2), (9, 4), (17, 3), (40, 6), (64, 8), (87, 5),
+                 (140, 2), (140, 33), (3, 40), (12, 140), (70, 140), (140, 140)]:
+        pts = rng.standard_normal((m, n))
+        if m > 3:
+            pts[m // 2] = pts[0]
+            pts[-1] = pts[1]
+        sets.append(pts)
+    sets.append(rng.integers(0, 2, (60, 5)) * 2.0 - 1.0)
+    sets.append(rng.integers(0, 2, (20, 16)) * 2.0 - 1.0)
+    sets.append(rng.uniform(-1.0, 1.0, (30, 4)) * 1e154)
+    sets.append(rng.uniform(-1.0, 1.0, (30, 4)) * 1e-300)
+    return sets
+
+
+class TestKernelsMatchTheirReferences:
+    @pytest.mark.parametrize("p", [2.0, math.inf, 1.0, 1.5, 3.0])
+    def test_pairwise_distance_matrix(self, p):
+        metric = Metric(p)
+        for pts in reference_sets():
+            try:
+                expected = reference_pairwise(pts, metric)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    pairwise_distance_matrix(pts, metric)
+                continue
+            assert np.array_equal(pairwise_distance_matrix(pts, metric), expected)
+
+    def test_weighted_l2_matrices(self):
+        rng = np.random.default_rng(32)
+        for pts in reference_sets():
+            n = pts.shape[1]
+            sq = rng.uniform(0.0, 2.0, (3, n))
+            sq[1, rng.permutation(n)[: max(1, n // 2)]] = 0.0
+            mats = _weighted_l2_matrices(pts, sq)
+            assert np.array_equal(mats, reference_weighted(pts, sq))
+            assert not mats.flags.writeable
+
+
 class TestDiameter:
     def test_singleton(self):
         ps = PointSet([[1.0, 2.0]])

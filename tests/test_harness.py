@@ -143,6 +143,13 @@ class TestInstanceFamily:
         with pytest.raises(ConfigError, match=message):
             InstanceFamily.from_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, key", [("scaled_basis(8,n=10)", "n"), ("gaussian_cloud(m=8,4)", "m")]
+    )
+    def test_from_spec_rejects_a_key_given_twice(self, spec, key):
+        with pytest.raises(ConfigError, match=rf"^{key} is given twice in family spec '.*'$"):
+            InstanceFamily.from_spec(spec)
+
     def test_scale_must_be_finite(self):
         with pytest.raises(ConfigError, match="finite scale > 0, got inf"):
             InstanceFamily.from_dict({"kind": "gaussian_cloud", "n": 4, "m": 8, "scale": math.inf})
