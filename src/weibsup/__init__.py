@@ -72,6 +72,7 @@ from .mcsup import (
     SupEstimate,
     build_probe_schedule,
     esup_mc,
+    esup_permuted_prefixes,
     esup_permuted_weighted,
     esup_rep_mc,
     order_stat_tail,

@@ -131,8 +131,7 @@ class PointSet:
             raise ValueError(f"points must be a 2-D array, got shape {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("a point set needs at least one point")
-        if pts.shape[1] < 1:
-            raise ValueError("points need at least one coordinate")
+        _check_coordinates(pts)
         if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
         pts = pts.copy()
@@ -146,6 +145,13 @@ class PointSet:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
+
+
+def _check_coordinates(pts: np.ndarray) -> None:
+    """Raise ValueError unless the points, along the last axis, have a coordinate:
+    without one, no kernel here has a norm to take."""
+    if pts.ndim == 0 or pts.shape[-1] < 1:
+        raise ValueError("points need at least one coordinate")
 
 
 def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
@@ -166,6 +172,7 @@ def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
     by its own power of two, as that matrix would scale it, so a norm is inf only
     where it overflows float64 itself."""
     x = np.asarray(points, dtype=np.float64)
+    _check_coordinates(x)
     if metric.p != 2.0:
         return _row_norms(x.copy(), metric)
     exp = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
@@ -234,6 +241,7 @@ def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndar
     by that shape.  Each block is squared once and multiplied by each weight row
     separately, so matrix k has the same bits for any K."""
     pts, a = np.asarray(points, dtype=np.float64), np.asarray(sq_weights, dtype=np.float64)
+    _check_coordinates(pts)
     m, n = pts.shape
     rows = max(1, m // n)
     sums_buf = np.empty(len(a) * rows * m)
@@ -256,6 +264,7 @@ def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> n
     enough to spread the walk's per-block work over short rows, and too few to
     add more than 512 KB to the matrix's own O(m^2) memory."""
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
+    _check_coordinates(pts)
     rows = max(1, 2**16 // max(1, pts.size))
     return _distance_matrices(pts, metric, rows, functools.partial(_row_norms, metric=metric))
 

@@ -28,7 +28,10 @@ from .laws import (
     exact_abs_moment,
     lp_norm_moment_bound,
 )
-from .mcsup import Driver, SupEstimate, _mc_mean, esup_mc, esup_permuted_weighted
+from .mcsup import Driver, SupEstimate, _mc_mean, esup_mc, esup_permuted_prefixes
+# nothing here calls it, but benchmarks/tracing.py wraps this binding and fails on a
+# name the module does not define
+from .mcsup import esup_permuted_weighted  # noqa: F401
 from .transforms import _EPI_METHODS, EpiGamma2, epi_gamma2, weights
 
 __all__ = [
@@ -529,9 +532,10 @@ def counterexample_run(r: float, n_list: Sequence[int]) -> list[BoundReport]:
 def truncation_check(cfg: RunConfig, theta: float, workers: int = 1) -> list[BoundReport]:
     """Compare the full permuted-weight supremum against its theta-prefix.
 
-    Both estimates share one stream, so theta = 1 reproduces the full
-    estimator bit for bit and the ratio is exactly 1.  The recorded ratio
-    is the empirical truncation constant; nothing is asserted against it.
+    One draw of (g, pi) per sample serves both prefixes, so theta = 1
+    reproduces the full estimator bit for bit and the ratio is exactly 1.
+    The recorded ratio is the empirical truncation constant; nothing is
+    asserted against it.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
@@ -543,8 +547,7 @@ def truncation_check(cfg: RunConfig, theta: float, workers: int = 1) -> list[Bou
             raise ValueError(f"truncation needs n >= 2/theta = {2.0 / theta:g}, got n={n}")
         prefix = math.ceil(theta * n)
         a = weights(n, conjugate_exponent(r)).w
-        full = esup_permuted_weighted(pset, a, n, cfg.samples, stream, workers)
-        part = esup_permuted_weighted(pset, a, prefix, cfg.samples, stream, workers)
+        full, part = esup_permuted_prefixes(pset, a, (n, prefix), cfg.samples, stream, workers)
         ratio = _ratio(full.mean, part.mean, noise=full.stderr)
         return BoundReport(
             instance=inst.fam.descriptor(),

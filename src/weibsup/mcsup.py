@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "esup_mc",
     "esup_rep_mc",
     "esup_permuted_weighted",
+    "esup_permuted_prefixes",
     "rearrange_nonincreasing",
     "order_stat_tail",
     "build_probe_schedule",
@@ -131,7 +132,7 @@ def _mc_mean(
     samples: int,
     stream: RandomStream,
     workers: int = 1,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Chunked Monte Carlo mean and standard error of the mean.
 
     Chunk sizes and substreams depend only on ``samples`` and ``stream``,
@@ -141,38 +142,55 @@ def _mc_mean(
     variance is carried times 2^-2e, with 2^e above every chunk's largest
     |draw|, so no square overflows; short of underflow the scaling is exact
     and changes no bit.
+
+    Draws of shape (count, K) are K columns, each merged on its own: the
+    mean and stderr are then arrays of K entries, entry k with the bits a
+    call drawing only column k would give.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     plan = _chunk_plan(samples)
 
-    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple[int, float, int, float, float]:
+    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple:
         idx, (start, size) = item
         rng = stream.child(idx).generator()
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws raise below
             vals = np.asarray(sample_values(rng, size), dtype=np.float64)
-        finite = np.isfinite(vals)
+        # one contiguous row per column, so each row sums as that column alone would
+        cols = np.ascontiguousarray(vals.reshape(size, -1).T)
+        finite = np.isfinite(cols).all(axis=0)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NonFiniteSampleError(f"draw {start + bad} produced a non-finite value")
-        exp = int(np.frexp(np.abs(vals).max())[1])
-        scaled = np.ldexp(vals, -exp)
-        part = float(scaled.sum())
-        return size, float(vals.sum()), exp, part, float(np.square(scaled - part / size).sum())
+        exp = np.frexp(np.abs(cols).max(axis=1))[1]
+        scaled = np.ldexp(cols, -exp[:, None])
+        part = scaled.sum(axis=1)
+        chunk_m2 = np.square(scaled - (part / size)[:, None]).sum(axis=1)
+        return vals.shape[1:], size, cols.sum(axis=1), exp, part, chunk_m2
 
     partials = _ordered_map(run_chunk, enumerate(plan), workers)
-    top = max(p[2] for p in partials)
-    count, run_mean, m2 = 0, 0.0, 0.0
-    for size, _, exp, part, chunk_m2 in partials:
-        # the chunk's sum and M2 times 2^-top and 2^-2top
-        part, chunk_m2 = math.ldexp(part, exp - top), math.ldexp(chunk_m2, 2 * (exp - top))
-        merged = count + size
-        delta = part / size - run_mean
-        run_mean += delta * size / merged
-        m2 += chunk_m2 + delta * delta * count * size / merged
-        count = merged
-    mean = math.fsum(p[1] for p in partials) / samples
-    return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), top)
+    shape = partials[0][0]
+    means, stderrs = [], []
+    for col in range(math.prod(shape)):
+        chunks = [
+            (size, sums[col], int(exps[col]), parts[col], m2s[col])
+            for _, size, sums, exps, parts, m2s in partials
+        ]
+        top = max(chunk[2] for chunk in chunks)
+        count, run_mean, m2 = 0, 0.0, 0.0
+        for size, _, exp, part, chunk_m2 in chunks:
+            # the chunk's sum and M2 times 2^-top and 2^-2top
+            part, chunk_m2 = math.ldexp(part, exp - top), math.ldexp(chunk_m2, 2 * (exp - top))
+            merged = count + size
+            delta = part / size - run_mean
+            run_mean += delta * size / merged
+            m2 += chunk_m2 + delta * delta * count * size / merged
+            count = merged
+        means.append(math.fsum(chunk[1] for chunk in chunks) / samples)
+        stderrs.append(math.ldexp(math.sqrt(m2 / (samples - 1) / samples), top))
+    if not shape:
+        return means[0], stderrs[0]
+    return np.reshape(means, shape), np.reshape(stderrs, shape)
 
 
 def _esup(
@@ -231,19 +249,58 @@ def esup_permuted_weighted(
     g_j * a_{pi^{-1}(j)} of the sum above: pi is uniform, so a(pi) and
     a(pi^{-1}) have the same law.
     """
+    (est,) = esup_permuted_prefixes(pset, weights, (prefix_len,), samples, stream, workers)
+    return est
+
+
+def esup_permuted_prefixes(
+    pset: PointSet,
+    weights: np.ndarray,
+    prefix_lens: Sequence[int],
+    samples: int,
+    stream: RandomStream,
+    workers: int = 1,
+) -> list[SupEstimate]:
+    """``esup_permuted_weighted`` at each prefix length, from one draw of (g, pi)
+    per sample: estimate k has the bits of ``esup_permuted_weighted`` at
+    ``prefix_lens[k]`` on the same stream.
+
+    A draw permutes the coordinate indices, idx, and not the weights: the
+    generator shuffles a tiled ``arange(n)`` exactly as it shuffles the tiled
+    weights, so g * masked[idx] is the coefficient row of each prefix's mask.
+    A chunk forms every prefix's coefficients, frees g and idx, then takes
+    the products with the points one prefix at a time, dropping each
+    prefix's coefficients once used: it never holds two products at once,
+    and a one-prefix call holds no more than one coefficient array beside
+    its product.
+    """
     a = np.asarray(weights, dtype=np.float64)
     n = pset.dim
     if a.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {a.shape}")
-    if not 1 <= prefix_len <= n:
-        raise ValueError(f"prefix length must lie in [1, {n}], got {prefix_len}")
-    masked = np.where(np.arange(n) < prefix_len, a, 0.0)
+    if len(prefix_lens) == 0:
+        raise ValueError("need at least one prefix length")
+    for prefix_len in prefix_lens:
+        if not 1 <= prefix_len <= n:
+            raise ValueError(f"prefix length must lie in [1, {n}], got {prefix_len}")
+    masks = [np.where(np.arange(n) < prefix_len, a, 0.0) for prefix_len in prefix_lens]
+    points_t = np.ascontiguousarray(pset.points.T)
 
-    def coefficients(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    def values(rng: np.random.Generator, count: int) -> np.ndarray:
         g = rng.standard_normal((count, n))
-        return g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
+        idx = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+        coeffs = [g * masked[idx] for masked in masks]
+        del g, idx
+        sups = np.empty((count, len(coeffs)))
+        for k in range(len(coeffs)):
+            sups[:, k] = (coeffs.pop(0) @ points_t).max(axis=1)
+        return sups
 
-    return _esup(pset, coefficients, samples, stream, workers)
+    means, stderrs = _mc_mean(values, samples, stream, workers)
+    return [
+        SupEstimate(mean=float(mean), stderr=float(stderr), samples=samples, seed=stream.seed)
+        for mean, stderr in zip(means, stderrs)
+    ]
 
 
 def rearrange_nonincreasing(values) -> np.ndarray:

@@ -408,6 +408,18 @@ class TestKernelsMatchTheirReferences:
             assert not mats.flags.writeable
 
 
+class TestPointsWithoutCoordinates:
+    @pytest.mark.parametrize("metric", [Metric.l2(), Metric.linf(), Metric.lp(1.5)], ids=str)
+    def test_matrix_and_norms_raise_one_message(self, metric):
+        for kernel in (pairwise_distance_matrix, point_norms):
+            with pytest.raises(ValueError, match="^points need at least one coordinate$"):
+                kernel(np.zeros((3, 0)), metric)
+
+    def test_weighted_l2_matrices_raise_the_same_message(self):
+        with pytest.raises(ValueError, match="^points need at least one coordinate$"):
+            _weighted_l2_matrices(np.zeros((3, 0)), np.ones((2, 0)))
+
+
 class TestDiameter:
     def test_singleton(self):
         ps = PointSet([[1.0, 2.0]])

@@ -403,6 +403,37 @@ class TestTruncation:
             assert rep.quantities["esup_prefix"] == part.mean
             assert rep.stderrs == {"esup_full": full.stderr, "esup_prefix": part.stderr}
 
+    def test_matches_two_calls_per_instance_over_chunks_and_workers(self):
+        cfg = self.cfg(samples=9000)  # three chunks, the last one short
+        pset = cfg.families[0].materialize()
+        n = pset.dim
+        got = truncation_check(cfg, 0.5, workers=2)
+        assert len(got) == 2
+        for j, (rep, r) in enumerate(zip(got, cfg.r_values)):
+            a = weights(n, conjugate_exponent(r)).w
+            stream = RandomStream(cfg.seed).child(0).child(j)
+            full = esup_permuted_weighted(pset, a, n, cfg.samples, stream, 2)
+            part = esup_permuted_weighted(pset, a, n // 2, cfg.samples, stream, 2)
+            assert rep.quantities["esup_full"] == full.mean
+            assert rep.quantities["esup_prefix"] == part.mean
+            assert rep.stderrs == {"esup_full": full.stderr, "esup_prefix": part.stderr}
+
+    def test_draws_each_chunk_once_for_both_prefixes(self, monkeypatch):
+        cfg = self.cfg(samples=9000)
+        built = []
+        generator = RandomStream.generator
+
+        def counting(stream):
+            built.append(stream)
+            return generator(stream)
+
+        monkeypatch.setattr(RandomStream, "generator", counting)
+        truncation_check(cfg, 0.5)
+        # the family's own seed builds its points; the run's seed draws the samples
+        draws = [stream for stream in built if stream.seed == cfg.seed]
+        assert len(draws) == 3 * len(cfg.r_values)
+        assert len(set(draws)) == len(draws)
+
     def test_n_too_small(self):
         cfg = RunConfig(
             name="main_bound",

@@ -11,9 +11,11 @@ from weibsup.laws import conjugate_exponent
 from weibsup.mcsup import (
     Driver,
     NonFiniteSampleError,
+    _esup,
     _mc_mean,
     build_probe_schedule,
     esup_mc,
+    esup_permuted_prefixes,
     esup_permuted_weighted,
     esup_rep_mc,
     order_stat_tail,
@@ -121,6 +123,45 @@ class TestEsupMc:
             _mc_mean(sampler, 100, RandomStream(0))
 
 
+def _three_columns(rng, count):
+    # one column of order 1, one near 2^500 and one whose mean dwarfs its spread
+    vals = rng.standard_normal((count, 3))
+    vals[:, 1] = np.ldexp(vals[:, 1], 500)
+    vals[:, 2] += 1e8
+    return vals
+
+
+class TestColumnMerge:
+    SAMPLES = 3 * 4096 + 17  # three full chunks and a short last one
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_column_has_the_bits_of_a_one_column_call(self, workers):
+        means, stderrs = _mc_mean(_three_columns, self.SAMPLES, RandomStream(31), workers)
+        assert means.shape == stderrs.shape == (3,)
+        for k in range(3):
+            def column(rng, count, k=k):
+                return _three_columns(rng, count)[:, k]
+
+            mean, stderr = _mc_mean(column, self.SAMPLES, RandomStream(31), workers)
+            assert (means[k], stderrs[k]) == (mean, stderr)
+        expected = math.ldexp(1.0, 500) / math.sqrt(self.SAMPLES)  # sd 2^500 over sqrt(N)
+        assert stderrs[1] == pytest.approx(expected, rel=0.05)
+
+    def test_nonfinite_draw_in_one_column_names_its_index(self):
+        drawn = []
+
+        def sampler(rng, count):
+            vals = np.ones((count, 3))
+            start = sum(drawn)
+            if start <= 5000 < start + count:
+                vals[5000 - start, 2] = np.nan
+            drawn.append(count)
+            return vals
+
+        with pytest.raises(NonFiniteSampleError, match="draw 5000 "):
+            _mc_mean(sampler, self.SAMPLES, RandomStream(0))
+
+
 class TestRearrange:
     def test_basic(self):
         assert rearrange_nonincreasing([3.0, -5.0, 2.0]).tolist() == [5.0, 3.0, 2.0]
@@ -197,12 +238,45 @@ class TestPermutedWeighted:
         half = esup_permuted_weighted(ps, a, n // 2, 20_000, RandomStream(21))
         assert full.mean > half.mean > 0.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prefixes_from_one_draw_match_one_call_each(self, workers):
+        rng = np.random.default_rng(17)
+        n = 7
+        ps = PointSet(rng.standard_normal((9, n)))
+        a = np.array([2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.0])  # ties and a zero weight
+        lens = (n, math.ceil(n / 2), 1)
+        got = esup_permuted_prefixes(ps, a, lens, 9000, RandomStream(5), workers)
+        assert got == [esup_permuted_weighted(ps, a, k, 9000, RandomStream(5), workers) for k in lens]
+
     def test_prefix_bounds(self):
         ps = PointSet(np.eye(4))
         with pytest.raises(ValueError):
             esup_permuted_weighted(ps, np.ones(4), 0, 100, RandomStream(0))
         with pytest.raises(ValueError):
             esup_permuted_weighted(ps, np.ones(3), 2, 100, RandomStream(0))
+
+    def test_matches_permuting_the_weights_themselves(self):
+        # the sampler as first written: it permuted each row of masked weights
+        rng = np.random.default_rng(18)
+        n = 6
+        ps = PointSet(rng.standard_normal((5, n)))
+        a = np.array([3.0, 1.0, 1.0, 0.5, 0.25, 0.0])
+        for prefix_len in (n, 2):
+            masked = np.where(np.arange(n) < prefix_len, a, 0.0)
+
+            def coefficients(rng, count, n, masked=masked):
+                g = rng.standard_normal((count, n))
+                return g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
+
+            expected = _esup(ps, coefficients, 5000, RandomStream(6), 1)
+            assert esup_permuted_weighted(ps, a, prefix_len, 5000, RandomStream(6)) == expected
+
+    def test_prefix_list_bounds(self):
+        ps = PointSet(np.eye(4))
+        with pytest.raises(ValueError, match="at least one prefix"):
+            esup_permuted_prefixes(ps, np.ones(4), (), 100, RandomStream(0))
+        with pytest.raises(ValueError, match="got 5"):
+            esup_permuted_prefixes(ps, np.ones(4), (4, 5), 100, RandomStream(0))
 
 
 @st.composite
