@@ -6,12 +6,15 @@ report files exclude wall-clock timing so re-runs are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -669,16 +672,34 @@ def _counterexample_from_config(cfg: RunConfig) -> list[BoundReport]:
     return [rep for r in cfg.r_values for rep in counterexample_run(r, n_list)]
 
 
+def _report_temp(out_path: str) -> tuple[TextIO, str]:
+    """A new file beside ``out_path`` and its name, to be moved onto ``out_path``
+    once the report in it is whole.  An OSError names ``out_path``, as opening
+    that path for writing would."""
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    head, tail = os.path.split(out_path)
+    tmp_path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        return open(tmp_path, "x"), tmp_path
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+
+
 def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = None) -> int:
     """Execute every configured experiment instance; nonzero on any violation.
 
     Everything that can fail before an instance runs is checked first:
     reading and parsing the config, ``overrides`` (top-level values such as
     samples, num_perms, seed or out, applied before validation), validation,
-    the worker count, materializing every family and opening the report file.  Any of these
-    failures prints one ``error: <config>: <reason>`` line and yields exit
-    status 2 with no report written.  Instance failures are recorded with an
-    error marker and the partial report is still persisted (exit status 1).
+    the worker count, materializing every family and creating the report's
+    temporary file beside it.  Any of these failures prints one
+    ``error: <config>: <reason>`` line and yields exit status 2 with no report
+    written.  Instance failures are recorded with an error marker and the
+    partial report is still persisted (exit status 1).  The report replaces the
+    file at its path only once it is whole: an interrupt leaves that file as it
+    was, removes the temporary one, prints ``error: <config>: interrupted`` and
+    yields exit status 130.
     """
     try:
         with open(config_path) as fh:
@@ -692,15 +713,23 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
         else:
             reports, grid = [], _instance_grid(cfg)
         out_path = cfg.out or f"{cfg.name}_report.json"
-        report_file = open(out_path, "w")
+        report_file, tmp_path = _report_temp(out_path)
     except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
     instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
-    with report_file:
-        reports += _grid_reports(grid, _recording(instance_fn), cfg, workers)
-        report_file.write(reports_json_text(reports, _config_echo(cfg)))
+    try:
+        with report_file:
+            reports += _grid_reports(grid, _recording(instance_fn), cfg, workers)
+            report_file.write(reports_json_text(reports, _config_echo(cfg)))
+        os.replace(tmp_path, out_path)
+    except KeyboardInterrupt:
+        print(f"error: {config_path}: interrupted", file=sys.stderr)
+        return 130
+    finally:
+        with contextlib.suppress(FileNotFoundError):  # gone once replaced
+            os.remove(tmp_path)
     failed = any(rep.flags.get("run") == "error" for rep in reports)
     violations = sum(rep.violated() for rep in reports)
     for rep in reports:

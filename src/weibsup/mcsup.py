@@ -193,6 +193,24 @@ def _mc_mean(
     return np.reshape(means, shape), np.reshape(stderrs, shape)
 
 
+def _row_sups(coeffs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
+    """``(coeffs @ points_t).max(axis=1)``, never holding more than one block of
+    the product.  A block is max(1, 2^16 // m) rows of it, at most 2^16 values
+    (one row if a row is larger), written into one reused buffer and reduced to
+    its row maxima while still in cache.  The height depends on m alone, not on
+    the chunk or worker count.  Each row is the same dot products as in the
+    whole product; on the BLAS tested (OpenBLAS 0.3.31) they have the same bits,
+    but another build may order a block's sums differently."""
+    count, m = coeffs.shape[0], points_t.shape[1]
+    height = max(1, 2**16 // m)
+    buf, out = np.empty((min(height, count), m)), np.empty(count)
+    for i in range(0, count, height):
+        rows = min(height, count - i)
+        np.matmul(coeffs[i:i + rows], points_t, out=buf[:rows])
+        buf[:rows].max(axis=1, out=out[i:i + rows])
+    return out
+
+
 def _esup(
     pset: PointSet,
     coefficients: Callable[[np.random.Generator, int, int], np.ndarray],
@@ -205,7 +223,7 @@ def _esup(
     points_t = np.ascontiguousarray(pset.points.T)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        return (coefficients(rng, count, pset.dim) @ points_t).max(axis=1)
+        return _row_sups(coefficients(rng, count, pset.dim), points_t)
 
     mean, stderr = _mc_mean(values, samples, stream, workers)
     return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
@@ -268,11 +286,10 @@ def esup_permuted_prefixes(
     A draw permutes the coordinate indices, idx, and not the weights: the
     generator shuffles a tiled ``arange(n)`` exactly as it shuffles the tiled
     weights, so g * masked[idx] is the coefficient row of each prefix's mask.
-    A chunk forms every prefix's coefficients, frees g and idx, then takes
-    the products with the points one prefix at a time, dropping each
-    prefix's coefficients once used: it never holds two products at once,
-    and a one-prefix call holds no more than one coefficient array beside
-    its product.
+    A chunk takes the prefixes one at a time, forming a prefix's coefficients
+    just before ``_row_sups`` reduces them: beside g and idx it holds one
+    coefficient array and one block of the product, never a (count, m)
+    product.
     """
     a = np.asarray(weights, dtype=np.float64)
     n = pset.dim
@@ -289,11 +306,9 @@ def esup_permuted_prefixes(
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         g = rng.standard_normal((count, n))
         idx = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-        coeffs = [g * masked[idx] for masked in masks]
-        del g, idx
-        sups = np.empty((count, len(coeffs)))
-        for k in range(len(coeffs)):
-            sups[:, k] = (coeffs.pop(0) @ points_t).max(axis=1)
+        sups = np.empty((count, len(masks)))
+        for k, masked in enumerate(masks):
+            sups[:, k] = _row_sups(g * masked[idx], points_t)
         return sups
 
     means, stderrs = _mc_mean(values, samples, stream, workers)

@@ -577,6 +577,40 @@ class TestRunAndPersistence:
         assert err.startswith("error:") and err.count("\n") == 1 and "No such file" in err
         assert os.listdir(tmp_path) == ["cfg.json"] and calls == []
 
+    def test_interrupt_keeps_the_previous_report(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_main_bound_instance", interrupted)
+        out = tmp_path / "report.json"
+        out.write_bytes(b"previous\n")
+        data = {
+            "name": "main_bound",
+            "families": [{"kind": "gaussian_cloud", "n": 4, "m": 8}],
+            "r_values": [0.5],
+            "out": str(out),
+        }
+        path = self.write_cfg(tmp_path, data)
+        assert run(path) == 130
+        assert capsys.readouterr().err == f"error: {path}: interrupted\n"
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "report.json"]
+
+    def test_directory_out_fails_before_any_instance(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "_main_bound_instance", lambda *args: calls.append(args))
+        (tmp_path / "report.json").mkdir()
+        data = {
+            "name": "main_bound",
+            "families": [{"kind": "gaussian_cloud", "n": 4, "m": 8}],
+            "r_values": [0.5],
+            "out": str(tmp_path / "report.json"),
+        }
+        assert run(self.write_cfg(tmp_path, data)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Is a directory" in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "report.json"] and calls == []
+
     @pytest.mark.parametrize("name, r", [("main_bound", 0.5), ("r1_bound", 1.5)])
     def test_overflowing_set_is_an_instance_error(self, tmp_path, monkeypatch, name, r):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from weibsup.mcsup import (
     NonFiniteSampleError,
     _esup,
     _mc_mean,
+    _row_sups,
     build_probe_schedule,
     esup_mc,
     esup_permuted_prefixes,
@@ -160,6 +162,73 @@ class TestColumnMerge:
 
         with pytest.raises(NonFiniteSampleError, match="draw 5000 "):
             _mc_mean(sampler, self.SAMPLES, RandomStream(0))
+
+
+def _integer_valued(rng, shape):
+    # small integers: every product and sum is exact, so any BLAS gives these bits
+    return rng.integers(-8, 9, size=shape).astype(np.float64)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowSups:
+    @pytest.mark.parametrize("m", [1, 3, 256, 512])
+    def test_matches_the_whole_product(self, m):
+        rng = np.random.default_rng(41)
+        height = max(1, 2**16 // m)
+        points_t = _integer_valued(rng, (5, m))
+        for count in sorted({1, height - 1, height, height + 1, 3616, 4096}):
+            coeffs = _integer_valued(rng, (count, 5))
+            got = _row_sups(coeffs, points_t)
+            assert got.tobytes() == (coeffs @ points_t).max(axis=1).tobytes()
+
+    def test_rows_longer_than_a_block_go_one_at_a_time(self):
+        rng = np.random.default_rng(42)
+        points_t = _integer_valued(rng, (1, 2**16 + 1))
+        coeffs = _integer_valued(rng, (3, 1))
+        assert _row_sups(coeffs, points_t).tobytes() == (coeffs @ points_t).max(axis=1).tobytes()
+
+    def test_esup_is_the_same_at_any_worker_count(self):
+        pset = PointSet(np.random.default_rng(43).standard_normal((512, 8)))
+        samples = 2 * 4096 + 17
+        one = esup_mc(pset, Driver.weibull(0.5), samples, RandomStream(44), workers=1)
+        two = esup_mc(pset, Driver.weibull(0.5), samples, RandomStream(44), workers=2)
+        assert one == two
+
+    def test_nonfinite_rows_stay_in_their_rows(self):
+        rng = np.random.default_rng(45)
+        m = 256
+        height = 2**16 // m
+        points_t = _integer_valued(rng, (4, m))
+        coeffs = _integer_valued(rng, (3 * height, 4))
+        coeffs[height + 5, 2] = np.inf  # both in the second block
+        coeffs[height + 9, 0] = np.nan
+        with np.errstate(invalid="ignore"):  # inf * 0, which _mc_mean also silences
+            got = _row_sups(coeffs, points_t)
+            whole = (coeffs @ points_t).max(axis=1)
+        assert np.flatnonzero(~np.isfinite(got)).tolist() == [height + 5, height + 9]
+        assert np.array_equal(got, whole, equal_nan=True)
+        for rows in (lambda rng, count: _row_sups(coeffs, points_t),
+                     lambda rng, count: (coeffs @ points_t).max(axis=1)):
+            with pytest.raises(NonFiniteSampleError, match=f"draw {height + 5} "):
+                _mc_mean(rows, 3 * height, RandomStream(0))
+
+    def test_no_chunk_holds_a_count_by_m_product(self):
+        # one 4096-draw chunk at m=2048: its product alone would be 64 MB
+        pset = PointSet(np.random.default_rng(46).standard_normal((2048, 4)))
+        a = np.array([2.0, 1.0, 0.5, 0.25])
+        limit = 8 * 2**20
+        assert _peak_bytes(lambda: esup_mc(pset, Driver.gaussian(), 4096, RandomStream(47))) < limit
+        assert _peak_bytes(
+            lambda: esup_permuted_prefixes(pset, a, (4, 2), 4096, RandomStream(48))
+        ) < limit
 
 
 class TestRearrange:
