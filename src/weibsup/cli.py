@@ -240,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, NonFiniteSampleError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print(f"error: {args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

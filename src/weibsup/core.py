@@ -71,12 +71,16 @@ def _ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
 
     Results keep the order of ``items``, so callers that merge them in that
     order get the same bits for any worker count.  A count below 1 raises
-    ValueError.
+    ValueError.  An interrupt or a failing item cancels every item not yet
+    started, so only the ones running are waited for.
     """
     _check_workers(workers)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
             return list(pool.map(fn, items))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [fn(x) for x in items]
 
 

@@ -10,6 +10,7 @@ and ``coupled_quantiles`` realizes the monotone coupling of the two laws.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +76,32 @@ class WeibullLaw:
 
 
 def abs_weibull(rng: np.random.Generator, exponent: float, size=None):
-    """|X| with tail exp(-t^exponent), by inverse CDF from one uniform."""
+    """|X| with tail exp(-t^exponent), as E^(1/exponent) with E standard exponential."""
     if not exponent > 0.0:
         raise ValueError(f"tail exponent must be positive, got {exponent}")
-    u = rng.random(size)
-    return (-np.log1p(-u)) ** (1.0 / exponent)
+    mag = np.asarray(rng.standard_exponential(size))
+    if exponent != 1.0:
+        mag **= 1.0 / exponent
+    return mag[()]  # an np.float64 for size=None, else the array itself
 
 
 def symmetric_weibull(rng: np.random.Generator, exponent: float, size=None):
     """Symmetric X with P(|X| > t) = exp(-t^exponent); independent sign."""
-    mag = abs_weibull(rng, exponent, size)
-    # u - 0.5 is negative exactly when u < 0.5, and +0.0 at u = 0.5
-    return np.copysign(mag, rng.random(size) - 0.5)
+    return _flip_signs(rng, np.asarray(abs_weibull(rng, exponent, size)))[()]
+
+
+# the byte of a native float64 that holds its sign bit
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+
+
+def _flip_signs(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """Flip the sign of each entry of the C-contiguous float64 array ``x`` in
+    place with its own fair bit; bit i of ``rng.bytes`` (most significant
+    first) set makes entry i negative, -0.0 for a zero.  Returns ``x``."""
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-x.size // 8)), dtype=np.uint8), count=x.size)
+    bits <<= 7
+    x.reshape(-1).view(np.uint8)[_SIGN_BYTE::8] ^= bits
+    return x
 
 
 def sample_symmetric_weibull(law: WeibullLaw, stream: RandomStream, size=None):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import PointSet, RandomStream, _ordered_map
-from .laws import abs_weibull, conjugate_exponent, symmetric_weibull
+from .laws import _flip_signs, abs_weibull, conjugate_exponent, symmetric_weibull
 
 __all__ = [
     "CHUNK_SIZE",
@@ -97,11 +97,12 @@ class Driver:
         if self.kind == "gaussian":
             return rng.standard_normal((count, n))
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=(count, n)).astype(np.float64) * 2.0 - 1.0
+            return _flip_signs(rng, np.ones((count, n)))
         if self.kind == "weibull":
             return symmetric_weibull(rng, self.r, (count, n))
         mags = abs_weibull(rng, conjugate_exponent(self.r), (count, n))
-        return rng.standard_normal((count, n)) * mags
+        mags *= rng.standard_normal((count, n))
+        return mags
 
     def describe(self) -> str:
         return self.kind if self.r is None else f"{self.kind}(r={self.r:g})"

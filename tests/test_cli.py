@@ -136,6 +136,28 @@ def test_moments_csv_without_out_writes_moments_csv(tmp_path, monkeypatch, capsy
     assert written.startswith("instance,r,")
 
 
+@pytest.mark.parametrize("command, target, argv", [
+    ("simulate", "esup_mc", ["--family", "gaussian_cloud(4,4,1.0)"]),
+    ("gamma", "build_greedy_tree", ["--family", "gaussian_cloud(4,4,1.0)"]),
+    ("transform", "ts_transform", ["--family", "gaussian_cloud(4,4,1.0)", "--r", "1"]),
+    ("counterexample", "counterexample_run", ["--r", "1", "--n", "16"]),
+    ("moments", "moment_check", ["--t", "1,0", "--r", "1", "--p", "2"]),
+])
+def test_interrupted_subcommand_exits_130_and_keeps_its_output(
+    tmp_path, monkeypatch, capsys, command, target, argv
+):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(f"weibsup.cli.{target}", interrupted)
+    out = tmp_path / "out"
+    out.write_text("previous")
+    assert main([command, *argv, "--out", str(out)]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command}: interrupted\n" and captured.out == ""
+    assert out.read_text() == "previous"
+
+
 def test_moments_json(tmp_path):
     out = tmp_path / "m.json"
     code = main([

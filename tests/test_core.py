@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -511,6 +512,22 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}$"):
             _ordered_map(calls.append, range(3), workers)
         assert calls == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_an_interrupt_cancels_the_items_not_started(self, error):
+        started = []
+
+        def items():
+            yield from range(200)
+            raise error  # as an interrupt while the items are being queued
+
+        def fn(x):
+            started.append(x)
+            time.sleep(0.01)
+
+        with pytest.raises(error):
+            _ordered_map(fn, items(), 2)
+        assert len(started) < 50
 
 
 class TestCsvRoundtrip:

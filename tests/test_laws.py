@@ -49,14 +49,20 @@ class TestConjugate:
                 conjugate_exponent(bad)
 
 
-class FixedUniforms:
-    """Generator stand-in: each ``random`` call returns the next given draw."""
+class FixedDraws:
+    """Generator stand-in: ``standard_exponential`` returns a copy of the given
+    exponentials and ``bytes`` the given sign bytes, asked for by exact length."""
 
-    def __init__(self, *draws):
-        self._draws = list(draws)
+    def __init__(self, exponentials, sign_bytes=b""):
+        self._exponentials = exponentials
+        self._sign_bytes = sign_bytes
 
-    def random(self, size=None):
-        return self._draws.pop(0)
+    def standard_exponential(self, size=None):
+        return np.array(self._exponentials) if size is not None else self._exponentials
+
+    def bytes(self, length):
+        assert length == len(self._sign_bytes)
+        return self._sign_bytes
 
 
 class TestSampler:
@@ -88,26 +94,51 @@ class TestSampler:
         assert abs(float(np.mean(np.sign(x))) ) < 0.02
 
     def test_sign_matches_where_formula_bitwise(self):
-        # every magnitude uniform (0 gives a zero magnitude) against sign uniforms
-        # at 0, just below 0.5, at 0.5, just above 0.5 and near 1
-        mag_u, sign_u = np.meshgrid(
-            [0.0, 0.25, 0.9],
-            [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.999],
-        )
+        # every exponential (0 gives a zero magnitude) under both sign bits; entry i
+        # is negative exactly when bit i of the sign bytes, most significant first,
+        # is set, and the padding bits of the last byte (all set here) are unused
+        exps = np.array([[0.0, 0.0, 0.25, 0.25, 0.9], [0.9, 3.0, 3.0, 7.5, 7.5]])
+        sign_bits = np.array([[1, 0, 0, 1, 1], [0, 0, 1, 1, 0]])
+        sign_bytes = bytes([0b10011001, 0b10111111])
         for r in (0.5, 1.0, 2.0):
-            mag = abs_weibull(FixedUniforms(mag_u), r, mag_u.shape)
-            expected = np.where(sign_u < 0.5, -1.0, 1.0) * mag
-            got = symmetric_weibull(FixedUniforms(mag_u, sign_u), r, mag_u.shape)
+            mag = abs_weibull(FixedDraws(exps), r, exps.shape)
+            assert np.array_equal(mag, exps ** (1.0 / r))
+            expected = np.where(sign_bits == 1, -1.0, 1.0) * mag
+            got = symmetric_weibull(FixedDraws(exps, sign_bytes), r, exps.shape)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
-        # a zero magnitude with a negative sign is -0.0
+        # a zero magnitude with a set sign bit is -0.0, with a clear one +0.0
         assert np.signbit(got[0, 0]) and got[0, 0] == 0.0
+        assert not np.signbit(got[0, 1]) and got[0, 1] == 0.0
 
     def test_scalar_draw_is_float64(self):
         assert type(symmetric_weibull(np.random.default_rng(3), 1.0)) is np.float64
-        got = symmetric_weibull(FixedUniforms(0.25, 0.2), 1.0)
+        got = symmetric_weibull(FixedDraws(0.25, b"\x80"), 1.0)
         assert type(got) is np.float64
-        assert got == math.log1p(-0.25)  # sign uniform 0.2 < 0.5: negative
+        assert got == -0.25  # first sign bit set: negative
+        got = symmetric_weibull(FixedDraws(0.25, b"\x7f"), 1.0)
+        assert type(got) is np.float64
+        assert got == 0.25  # first sign bit clear: positive
+
+    @pytest.mark.parametrize("size, shape", [(None, ()), (0, (0,)), (1, (1,)), (7, (7,)),
+                                             (9, (9,)), ((3, 5), (3, 5))])
+    def test_sizes_keep_their_shape_and_dtype(self, size, shape):
+        for draw in (abs_weibull, symmetric_weibull):
+            x = draw(np.random.default_rng(8), 1.5, size)
+            assert np.shape(x) == shape and x.dtype == np.float64
+            assert (type(x) is np.float64) == (size is None)
+
+    def test_exponent_one_is_the_exponential_draw(self):
+        got = abs_weibull(np.random.default_rng(9), 1.0, 1000)
+        assert got.tobytes() == np.random.default_rng(9).standard_exponential(1000).tobytes()
+
+    def test_signs_are_independent_of_magnitudes(self):
+        x = symmetric_weibull(np.random.default_rng(10), 0.7, 200_000)
+        above = np.abs(x) > np.median(np.abs(x))
+        negative = np.signbit(x)
+        table = [[np.sum(above & negative), np.sum(above & ~negative)],
+                 [np.sum(~above & negative), np.sum(~above & ~negative)]]
+        assert stats.chi2_contingency(table, correction=False).pvalue > 1e-4
 
     def test_reproducible(self):
         a = sample_symmetric_weibull(WeibullLaw(0.7), RandomStream(5, 1), size=100)

@@ -73,6 +73,19 @@ class TestEsupMc:
         b = esup_mc(ps, Driver.weibull(0.75), 9000, RandomStream(42), workers=4)
         assert a == b
 
+    def test_rademacher_is_plus_or_minus_one_and_fair(self):
+        coeffs = Driver.rademacher().coefficients(np.random.default_rng(12), 4096, 63)
+        assert coeffs.shape == (4096, 63) and coeffs.dtype == np.float64
+        assert np.all(np.abs(coeffs) == 1.0)
+        n = coeffs.size
+        assert abs(np.sum(coeffs < 0.0) - n / 2) <= 4.0 * math.sqrt(n / 4)
+
+    def test_cond_gaussian_is_the_same_at_workers_1_and_2(self):
+        ps = PointSet(np.random.default_rng(13).standard_normal((6, 5)))
+        a = esup_mc(ps, Driver.cond_gaussian(1.2), 9000, RandomStream(42), workers=1)
+        b = esup_mc(ps, Driver.cond_gaussian(1.2), 9000, RandomStream(42), workers=2)
+        assert a == b
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             esup_mc(PointSet([[1.0]]), Driver.gaussian(), 1, RandomStream(0))
