@@ -69,19 +69,27 @@ def _check_workers(workers: int) -> None:
 def _ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
     """[fn(x) for x in items], on a pool of ``workers`` threads when workers > 1.
 
-    Results keep the order of ``items``, so callers that merge them in that
-    order get the same bits for any worker count.  A count below 1 raises
-    ValueError.  An interrupt or a failing item cancels every item not yet
-    started, so only the ones running are waited for.
+    Its one caller, ``mcsup._mc_mean``, maps Monte Carlo chunks.  Results keep
+    the order of ``items``, so merging them in that order gives the same bits
+    for any worker count.  The items are listed first; then at most
+    2 * workers of them are queued or running, the next one queued as the
+    oldest result is taken.  A count below 1 raises ValueError.  An interrupt
+    or a failing item cancels every item not yet started, so only the ones
+    running are waited for.
     """
     _check_workers(workers)
-    if workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            return list(pool.map(fn, items))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return [fn(x) for x in items]
+    if workers == 1:
+        return [fn(x) for x in items]
+    items, results = list(items), []
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = [pool.submit(fn, x) for x in items[: 2 * workers]]
+        for x in items[2 * workers :]:
+            results.append(pending.pop(0).result())
+            pending.append(pool.submit(fn, x))
+        return results + [future.result() for future in pending]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

@@ -405,16 +405,14 @@ def _recording(instance_fn: _InstanceFn) -> _InstanceFn:
 
 
 def _bound_head(
-    experiment: str, inst: _Instance, cfg: RunConfig, workers: int,
-    between: Callable[[], dict[str, float]] = dict,
+    experiment: str, inst: _Instance, cfg: RunConfig, workers: int
 ) -> tuple[SupEstimate, EpiGamma2, BoundReport]:
-    """What every bound instance computes: the Weibull esup on stream.child(0), then
-    the quantities ``between()`` returns, then E_pi gamma_2(T_pi) on stream.child(1).
-    The report holds them all; its ratios and flags are left to the caller."""
+    """What every bound instance computes: the Weibull esup on stream.child(0),
+    then E_pi gamma_2(T_pi) on stream.child(1).  The report holds both; further
+    quantities, ratios and flags are left to the caller."""
     pset, r, stream = inst.pset, inst.r, inst.stream
     _check_r(experiment, r)
     est = esup_mc(pset, Driver.weibull(r), cfg.samples, stream.child(0), workers)
-    extra = between()
     with warnings.catch_warnings():
         # at r = 2 (s = inf) the report flags the limiting 0/1 weights instead
         warnings.filterwarnings("ignore", "infinite weight exponent", UserWarning)
@@ -427,7 +425,6 @@ def _bound_head(
         r=r,
         quantities={
             "esup_weibull": est.mean,
-            **extra,
             "epi_gamma2": epi.mean,
             "epi_gamma2_spread": epi.spread,
         },
@@ -453,17 +450,16 @@ def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
 
 def _r1_bound_instance(inst: _Instance, cfg: RunConfig, workers: int) -> BoundReport:
     pset, r = inst.pset, inst.r
-
-    def gammas() -> dict[str, float]:
-        tree_l2 = build_greedy_tree(pset, Metric.l2())
-        tree_linf = build_greedy_tree(pset, Metric.linf())
-        g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
-        gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
-        chain = chaining_bound(pset, r, intersect_trees(tree_l2, tree_linf))
-        return {"gamma2_d2": g2, "gamma_r_dinf": gr, "gamma_sum": g2 + gr, "chaining_bound": chain}
-
-    est, epi, report = _bound_head("r1_bound", inst, cfg, workers, gammas)
-    gamma_sum, chain = report.quantities["gamma_sum"], report.quantities["chaining_bound"]
+    est, epi, report = _bound_head("r1_bound", inst, cfg, workers)
+    tree_l2 = build_greedy_tree(pset, Metric.l2())
+    tree_linf = build_greedy_tree(pset, Metric.linf())
+    g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
+    gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
+    gamma_sum = g2 + gr
+    chain = chaining_bound(pset, r, intersect_trees(tree_l2, tree_linf))
+    report.quantities.update(
+        gamma2_d2=g2, gamma_r_dinf=gr, gamma_sum=gamma_sum, chaining_bound=chain
+    )
     ratio = _ratio(est.mean, gamma_sum, noise=est.stderr)
     dominated = est.mean <= chain + 3.0 * est.stderr
     report.ratios = {

@@ -144,7 +144,7 @@ def _mc_mean(
     |draw|, so no square overflows; short of underflow the scaling is exact
     and changes no bit.
 
-    Draws of shape (count, K) are K columns, each merged on its own: the
+    Draws of shape (count, K) are K columns, merged in one array pass: the
     mean and stderr are then arrays of K entries, entry k with the bits a
     call drawing only column k would give.
     """
@@ -171,27 +171,22 @@ def _mc_mean(
 
     partials = _ordered_map(run_chunk, enumerate(plan), workers)
     shape = partials[0][0]
-    means, stderrs = [], []
-    for col in range(math.prod(shape)):
-        chunks = [
-            (size, sums[col], int(exps[col]), parts[col], m2s[col])
-            for _, size, sums, exps, parts, m2s in partials
-        ]
-        top = max(chunk[2] for chunk in chunks)
-        count, run_mean, m2 = 0, 0.0, 0.0
-        for size, _, exp, part, chunk_m2 in chunks:
-            # the chunk's sum and M2 times 2^-top and 2^-2top
-            part, chunk_m2 = math.ldexp(part, exp - top), math.ldexp(chunk_m2, 2 * (exp - top))
-            merged = count + size
-            delta = part / size - run_mean
-            run_mean += delta * size / merged
-            m2 += chunk_m2 + delta * delta * count * size / merged
-            count = merged
-        means.append(math.fsum(chunk[1] for chunk in chunks) / samples)
-        stderrs.append(math.ldexp(math.sqrt(m2 / (samples - 1) / samples), top))
+    _, sizes, sums, exps, parts, m2s = zip(*partials)
+    top = np.max(exps, axis=0)
+    count, run_mean, m2 = 0, 0.0, 0.0
+    for size, exp, part, chunk_m2 in zip(sizes, exps, parts, m2s):
+        # the chunk's sums and M2s times 2^-top and 2^-2top, every column at once
+        part, chunk_m2 = np.ldexp(part, exp - top), np.ldexp(chunk_m2, 2 * (exp - top))
+        merged = count + size
+        delta = part / size - run_mean
+        run_mean += delta * size / merged
+        m2 += chunk_m2 + delta * delta * count * size / merged
+        count = merged
+    means = np.array([math.fsum(col) for col in zip(*sums)]) / samples
+    stderrs = np.ldexp(np.sqrt(m2 / (samples - 1) / samples), top)
     if not shape:
-        return means[0], stderrs[0]
-    return np.reshape(means, shape), np.reshape(stderrs, shape)
+        return float(means[0]), float(stderrs[0])
+    return means.reshape(shape), stderrs.reshape(shape)
 
 
 def _row_sups(coeffs: np.ndarray, points_t: np.ndarray) -> np.ndarray:

@@ -9,11 +9,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, _ordered_map, _weighted_l2_matrices
+from .core import Metric, PointSet, RandomStream, _weighted_l2_matrices
 from .gamma import (
     _distance_matrix,
     build_greedy_tree,
-    gamma_exact_small,
+    exact_small_tree,
     gamma_from_tree,
     gaussian_gamma2_proxy,
 )
@@ -99,7 +99,8 @@ def epi_gamma2(
     squared coordinate differences of ``pset``: |u - v|^2 of T_pi is
     sum_c a_c (t_c - t'_c)^2 with a_{pi(k)} = w_k^2.  These matrices (all
     alive at once, num_perms * m^2 * 8 bytes) may differ from the ones
-    computed from T_pi's own points in the last bits.
+    computed from T_pi's own points in the last bits.  Permutations run on the
+    calling thread; ``workers`` threads only the proxy's Monte Carlo chunks.
     """
     if num_perms < 1:
         raise ValueError(f"need num_perms >= 1, got {num_perms}")
@@ -114,18 +115,15 @@ def epi_gamma2(
         for a, perm in zip(sq_weights, perms):
             a[perm] = w * w
         matrices = _weighted_l2_matrices(pset.points, sq_weights)
-
-    def evaluate(i: int) -> float:
-        transformed = apply_permuted_weights(pset, perms[i], s)
+        builder = build_greedy_tree if gamma_method == "greedy_upper" else exact_small_tree
+    values = []
+    for i, perm in enumerate(perms):
+        t_pi = apply_permuted_weights(pset, perm, s)
         if gamma_method == "gaussian_proxy":
-            return gaussian_gamma2_proxy(transformed, samples, stream.child(i)).value
-        _distance_matrix(transformed, l2, matrices[i])
-        if gamma_method == "greedy_upper":
-            tree = build_greedy_tree(transformed, l2)
-            return gamma_from_tree(tree, 2.0, l2).value
-        return gamma_exact_small(transformed, l2, 2.0).value
-
-    values = _ordered_map(evaluate, range(num_perms), workers)
+            values.append(gaussian_gamma2_proxy(t_pi, samples, stream.child(i), workers).value)
+        else:
+            _distance_matrix(t_pi, l2, matrices[i])
+            values.append(gamma_from_tree(builder(t_pi, l2), 2.0, l2).value)
     mean = math.fsum(values) / num_perms
     vmax, vmin = max(values), min(values)
     if vmax == 0.0:

@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weibsup import core
 from weibsup.core import (
     Metric,
     PointSet,
@@ -528,6 +530,30 @@ class TestOrderedMap:
         with pytest.raises(error):
             _ordered_map(fn, items(), 2)
         assert len(started) < 50
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_two_items_per_worker_are_queued(self, workers, monkeypatch):
+        lock = threading.Lock()
+        counts = {"submitted": 0, "finished": 0}
+        backlog = []
+
+        class CountingPool(core.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                with lock:
+                    counts["submitted"] += 1
+                    backlog.append(counts["submitted"] - counts["finished"])
+                return super().submit(*args, **kwargs)
+
+        def fn(x):
+            time.sleep(0.001)
+            with lock:
+                counts["finished"] += 1
+            return x
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
+        assert _ordered_map(fn, range(100), workers) == list(range(100))
+        assert counts["submitted"] == 100
+        assert max(backlog) <= 2 * workers
 
 
 class TestCsvRoundtrip:

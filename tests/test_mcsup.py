@@ -162,6 +162,36 @@ class TestColumnMerge:
         expected = math.ldexp(1.0, 500) / math.sqrt(self.SAMPLES)  # sd 2^500 over sqrt(N)
         assert stderrs[1] == pytest.approx(expected, rel=0.05)
 
+    @pytest.mark.parametrize("columns", [None, 32])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_matches_a_scalar_merge_of_chunks_at_different_scales(self, columns, far):
+        # chunk i is scaled by 2^(i mod 3 - 1), or with ``far`` the first by 2^-300
+        # and the last by 2^300: every column's chunk exponents differ, so each
+        # chunk is rescaled in the merge.  Ten chunks make the merge weights
+        # k/(k+1) round, and over 32 columns of spreads 1 to 1e6 and means 0 to
+        # 1e8 a change in the order of the merge's operations shows in the bits.
+        drawn = []
+
+        def sampler(rng, count):
+            if columns:
+                vals = rng.standard_normal((count, columns)) * np.geomspace(1.0, 1e6, columns)
+                vals += np.linspace(0.0, 1e8, columns)
+            else:
+                vals = rng.standard_normal(count)
+            i = len(drawn)
+            scale = (-300 if i == 0 else 300 if count < 4096 else 0) if far else i % 3 - 1
+            drawn.append(np.ldexp(vals, scale))
+            return drawn[-1]
+
+        means, stderrs = _mc_mean(sampler, 9 * 4096 + 17, RandomStream(32))
+        chunks = [vals.reshape(vals.shape[0], -1) for vals in drawn]
+        expected = [reference_chan_merge([c[:, k] for c in chunks]) for k in range(columns or 1)]
+        if columns is None:
+            assert type(means) is float and type(stderrs) is float
+            assert (means, stderrs) == expected[0]
+        else:
+            assert list(zip(means, stderrs)) == expected
+
     def test_nonfinite_draw_in_one_column_names_its_index(self):
         drawn = []
 
@@ -175,6 +205,30 @@ class TestColumnMerge:
 
         with pytest.raises(NonFiniteSampleError, match="draw 5000 "):
             _mc_mean(sampler, self.SAMPLES, RandomStream(0))
+
+
+def reference_chan_merge(chunks):
+    """Mean and stderr of one column's chunks: per-chunk (size, sum, exponent,
+    scaled sum, scaled M2), merged one scalar at a time in chunk order."""
+    stats = []
+    for vals in chunks:
+        vals = np.ascontiguousarray(vals)
+        exp = int(np.frexp(np.abs(vals).max())[1])
+        scaled = np.ldexp(vals, -exp)
+        part = scaled.sum()
+        stats.append((vals.size, vals.sum(), exp, part, np.square(scaled - part / vals.size).sum()))
+    samples = sum(size for size, *_ in stats)
+    top = max(exp for _, _, exp, _, _ in stats)
+    count, run_mean, m2 = 0, 0.0, 0.0
+    for size, _, exp, part, chunk_m2 in stats:
+        part, chunk_m2 = math.ldexp(part, exp - top), math.ldexp(chunk_m2, 2 * (exp - top))
+        merged = count + size
+        delta = part / size - run_mean
+        run_mean += delta * size / merged
+        m2 += chunk_m2 + delta * delta * count * size / merged
+        count = merged
+    mean = math.fsum(total for _, total, _, _, _ in stats) / samples
+    return mean, math.ldexp(math.sqrt(m2 / (samples - 1) / samples), top)
 
 
 def _integer_valued(rng, shape):

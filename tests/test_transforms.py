@@ -1,10 +1,12 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from weibsup import transforms
 from weibsup.core import Metric, PointSet, RandomStream
 from weibsup.gamma import gamma_exact_small
 from weibsup.transforms import (
@@ -155,6 +157,31 @@ class TestEpiGamma2:
         a = epi_gamma2(ps, 1.0, 6, "gaussian_proxy", RandomStream(8), samples=3000, workers=1)
         b = epi_gamma2(ps, 1.0, 6, "gaussian_proxy", RandomStream(8), samples=3000, workers=3)
         assert a == b
+
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    def test_tree_methods_deterministic_across_workers(self, method):
+        ps = PointSet(np.random.default_rng(11).standard_normal((8, 5)))
+        a = epi_gamma2(ps, 1.0, 6, method, RandomStream(12), workers=1)
+        b = epi_gamma2(ps, 1.0, 6, method, RandomStream(12), workers=3)
+        assert a == b
+
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    def test_trees_are_built_and_read_on_the_calling_thread(self, method, monkeypatch):
+        threads = []
+
+        def recording(fn):
+            def recorded(*args):
+                threads.append(threading.get_ident())
+                return fn(*args)
+
+            return recorded
+
+        for name in ("build_greedy_tree", "gamma_from_tree"):
+            monkeypatch.setattr(transforms, name, recording(getattr(transforms, name)))
+        ps = PointSet(np.random.default_rng(9).standard_normal((8, 5)))
+        epi_gamma2(ps, 1.0, 6, method, RandomStream(10), workers=3)
+        calls = 12 if method == "greedy_upper" else 6  # a tree and its gamma, or only gamma
+        assert threads == [threading.get_ident()] * calls
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
