@@ -159,6 +159,15 @@ class PointSet:
         return int(self.points.shape[1])
 
 
+def _power(base: float, exponent: float, quantity: str) -> float:
+    """base ** exponent, or ValueError naming ``quantity`` where that overflows
+    float64."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"{quantity} overflows float64") from None
+
+
 def _check_coordinates(pts: np.ndarray) -> None:
     """Raise ValueError unless the points, along the last axis, have a coordinate:
     without one, no kernel here has a norm to take."""

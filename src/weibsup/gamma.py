@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     Metric,
     PointSet,
     RandomStream,
+    _power,
     _row_norms,
     _unit_scaled,
     pairwise_distance_matrix,
@@ -49,8 +51,9 @@ __all__ = [
 
 _GAMMA_METHODS = ("exact_small", "greedy_upper", "dudley", "sudakov_lower", "gaussian_proxy")
 _MAX_LEVELS = 64
-# matrix entries that one gather of cell pairs reads at most (with as many
-# indices), unless one row of the matrix holds more
+# a level is read in blocks of at most this many matrix entries, unless one row
+# of a whole-set band or one point's in-cell pairs hold more; a block bounds
+# every temporary of the read
 _GATHER_ENTRIES = 2**14
 
 
@@ -339,57 +342,44 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
 
 
 def _sup_level_sum(
-    labels: np.ndarray, cell_max: Callable[[int, Callable[[np.ndarray], np.ndarray]], np.ndarray]
+    labels: np.ndarray, mats: Sequence[np.ndarray], coeffs: Sequence[Sequence[float]]
 ) -> float:
     """sup over t of sum_n of level n's value on A_n(t), the cells read from the
-    (levels, m) labels.
+    (levels, m) labels: the max over the cell's point pairs i <= j of
+    sum_k coeffs[n][k] * mats[k][i, j], for m x m symmetric mats and coeffs > 0.
 
-    ``cell_max(n, take)`` gives level n's value on the cells that ``take``
-    reads: the max over the last two axes of what ``take`` gathers from an
-    m x m symmetric matrix, a (k, s, s) block for k cells of s points or an
-    (s, s') band of one cell.
-    - A cell holding every point is read in bands of rows of the matrix
-      itself, each from its diagonal on: views, not copies.
-    - A cell with more than _GATHER_ENTRIES pairs is read in bands of rows,
-      each against the cell's points from the band's first on; by symmetry
-      that covers every pair.
-    - The other cells of two or more points are gathered together by flat
-      index, largest first, in batches of at most _GATHER_ENTRIES entries
-      and of cells at least 3/4 the size of the largest.  A smaller cell is
-      padded by repeating its last point, which leaves its maximum as it is.
-
-    A level adds its values to all of its points at once; a cell of one point
-    adds 0.0, which changes no sum.
+    A level of one cell is read in bands of rows of the mats themselves (views).
+    Any other level is one list of its in-cell pairs, each point with itself and
+    the later points of its cell, gathered by flat index in blocks of whole
+    points' pairs.  A block holds at most _GATHER_ENTRIES pairs, or one point's
+    where those are more, and so bounds every temporary of the read.
     """
     m = labels.shape[1]
     band = max(1, _GATHER_ENTRIES // m)
     acc = np.zeros(m)
     for n, row in enumerate(labels):
         if not row.any():  # one cell of every point
-            acc += max(cell_max(n, lambda mat: mat[i:i + band, i:]) for i in range(0, m, band))
+            views = ((mat[i:i + band, i:] for mat in mats) for i in range(0, m, band))
+            acc += max(reduce(np.add, map(np.multiply, coeffs[n], parts)).max() for parts in views)
             continue
         order, starts, sizes = _segments(row)
-        value = np.zeros(sizes.size)
-        large = sizes * sizes > _GATHER_ENTRIES
-        for c in np.flatnonzero(large).tolist():
-            idx = order[starts[c]:starts[c] + sizes[c]]
-            for i in range(0, idx.size, band):
-                rows, cols = idx[i:i + band], idx[i:]
-                top = cell_max(n, lambda mat: mat.take(rows, axis=0).take(cols, axis=1))
-                value[c] = max(value[c], top)
-        small = np.flatnonzero((sizes > 1) & ~large)
-        small = small[np.argsort(-sizes[small], kind="stable")]
-        # a batch takes the cells of at least 3/4 of its largest's size
-        shrink = np.searchsorted(-sizes[small], -(3 * sizes[small] // 4), side="right")
-        i = 0
-        while i < small.size:
-            part = small[i:min(shrink[i], i + _GATHER_ENTRIES // int(sizes[small[i]]) ** 2)]
-            width = np.arange(sizes[part[0]])
-            block = order[starts[part, None] + np.minimum(width, sizes[part, None] - 1)]
-            flat = block[:, :, None] * m + block[:, None, :]
-            value[part] = cell_max(n, lambda mat: mat.take(flat))
-            i += part.size
-        acc += value[row]
+        # position p, in cell order, pairs with itself and the later positions of its cell
+        counts = np.repeat(starts + sizes, sizes) - np.arange(m)
+        last = np.cumsum(counts)
+        point_max, p = np.empty(m), 0
+        while p < m:
+            base = last[p] - counts[p]
+            q = max(p + 1, int(np.searchsorted(last, base + _GATHER_ENTRIES, side="right")))
+            firsts = last[p:q] - counts[p:q] - base
+            flat = np.repeat(np.arange(p, q) - firsts, counts[p:q])
+            flat += np.arange(flat.size)  # each pair's second position
+            flat = order[flat]
+            flat += np.repeat(order[p:q] * m, counts[p:q])  # each pair's flat index
+            values = reduce(np.add, map(np.multiply, coeffs[n], (mat.take(flat) for mat in mats)))
+            point_max[p:q] = np.maximum.reduceat(values, firsts)
+            del flat, values  # before the next block's are built
+            p = q
+        acc += np.maximum.reduceat(point_max, starts)[row]
     return float(acc.max())
 
 
@@ -398,8 +388,9 @@ def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaV
     _check_alpha(alpha)
     labels = validate_admissible(tree)
     dist = _distance_matrix(tree.pointset, metric)
-    weights = [2.0 ** (n / alpha) for n in range(len(tree.levels))]
-    value = _sup_level_sum(labels, lambda n, take: weights[n] * take(dist).max(axis=(-2, -1)))
+    coeffs = [[_power(2.0, n / alpha, f"level weight 2^({n}/{alpha})")]
+              for n in range(len(labels))]
+    value = _sup_level_sum(labels, [dist], coeffs)
     return GammaValue(alpha=alpha, value=value, method="greedy_upper")
 
 
@@ -569,12 +560,9 @@ def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
     labels = validate_admissible(tree)
     d2 = _distance_matrix(pset, Metric.l2())
     dinf = _distance_matrix(pset, Metric.linf())
-    return _sup_level_sum(
-        labels,
-        lambda k, take: (2.0 ** (k / 2.0) * take(d2) + 2.0 ** (k / r) * take(dinf)).max(
-            axis=(-2, -1)
-        ),
-    )
+    coeffs = [[2.0 ** (k / 2.0), _power(2.0, k / r, f"level weight 2^({k}/{r})")]
+              for k in range(len(labels))]
+    return _sup_level_sum(labels, [d2, dinf], coeffs)
 
 
 def tree_to_jsonable(tree: PartitionTree) -> list[list[list[int]]]:

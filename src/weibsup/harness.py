@@ -18,7 +18,7 @@ from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, _check_workers, load_points_csv
+from .core import Metric, PointSet, RandomStream, _check_workers, _power, load_points_csv
 from .gamma import (
     build_greedy_tree,
     chaining_bound,
@@ -498,9 +498,16 @@ def counterexample_run(r: float, n_list: Sequence[int]) -> list[BoundReport]:
             raise ValueError(f"counter-example sizes must be powers of 2 >= 16, got {n}")
         log2n = math.log2(n)
         k = math.floor((r + 1.0) / 2.0 * log2n)
+        at = f"at r={r}, n={n}"
         esup_closed = n * exact_abs_moment(r, 1.0)
-        gamma_r_lower = 2.0 * 2.0 ** (k / r)
-        simplified_lower = 2.0 ** (1.0 - 1.0 / r) * n ** ((r + 1.0) / (2.0 * r))
+        gamma_r_lower = 2.0 * _power(2.0, k / r, f"2^(k/r) {at}")
+        simplified_lower = 2.0 ** (1.0 - 1.0 / r) * _power(
+            n, (r + 1.0) / (2.0 * r), f"n^((r+1)/(2r)) {at}"
+        )
+        # a finite power can still overflow once multiplied
+        for name, value in (("esup_closed", esup_closed), ("gamma_r_lower", gamma_r_lower)):
+            if value == math.inf:
+                raise ValueError(f"{name} {at} overflows float64")
         ratio_simplified = simplified_lower / esup_closed
         ratio_floor = gamma_r_lower / esup_closed
         monotone = previous is None or ratio_simplified > previous

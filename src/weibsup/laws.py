@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, _power
 
 __all__ = [
     "QuadratureError",
@@ -114,7 +114,13 @@ def exact_abs_moment(r: float, p: float) -> float:
         raise ValueError(f"r must be positive, got {r}")
     if p < 0.0:
         raise ValueError(f"moment order must be nonnegative, got {p}")
-    return math.gamma(1.0 + p / r)
+    try:
+        value = math.gamma(1.0 + p / r)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"E|X|^p = Gamma(1 + p/r) at r={r}, p={p} overflows float64")
+    return value
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ def sup_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
     tv = np.asarray(t, dtype=np.float64)
     l2 = float(np.sqrt(np.sum(tv * tv)))
     linf = float(np.max(np.abs(tv))) if tv.size else 0.0
-    value = math.sqrt(p) * l2 + p ** (1.0 / r) * linf
+    value = math.sqrt(p) * l2 + _power(p, 1.0 / r, f"p^(1/r) at r={r}, p={p}") * linf
     return MomentFunctional(p=p, value=value, kind="sup_norm_bound")
 
 

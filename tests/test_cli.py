@@ -308,6 +308,38 @@ def test_overflowing_inputs_exit_2_with_one_line(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["gamma", "--family", "gaussian_cloud(4,16,1.0)", "--alpha", "0.001"], "2^(2/0.001)"),
+        (["moments", "--t", "1,2", "--r", "0.01", "--p", "2"], "Gamma(1 + p/r)"),
+        (["counterexample", "--r", "0.001", "--n", "16"], "Gamma(1 + p/r)"),
+        (["counterexample", "--r", "0.006", "--n", "16384"], "2^(k/r)"),
+    ],
+    ids=["gamma_weight", "moments_gamma", "counterexample_gamma", "counterexample_weight"],
+)
+def test_overflowing_parameters_exit_2_naming_the_quantity(tmp_path, monkeypatch, capsys,
+                                                           argv, quantity):
+    # small r or alpha whose closed forms overflow float64
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.err.endswith("overflows float64\n") and quantity in captured.err
+    assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+def test_verify_of_an_overflowing_counterexample_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = {"name": "counterexample", "families": [{"kind": "hypercube_subset", "n": 256, "m": 1}],
+              "r_values": [0.001], "out": "report.json"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["verify", "--config", "config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config.json: E|X|^p = Gamma(1 + p/r) at r=0.001, p=1.0 overflows float64\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
     "argv, value",
     [
         (["--t", "1", "--p", "2,nan"], "nan"),

@@ -500,6 +500,66 @@ class TestGammaFromTree:
         with pytest.raises(NotAdmissibleError):
             gamma_from_tree(bad, 2.0, L2)
 
+    def test_level_weight_overflow_raises_value_error(self):
+        tree = build_greedy_tree(random_set(34, 16, 4), L2)
+        with pytest.raises(ValueError, match=r"^level weight 2\^\(2/0.001\) overflows float64$"):
+            gamma_from_tree(tree, 0.001, L2)
+
+
+def tree_of_runs(ps: PointSet, order: np.ndarray, runs: list[list[int]]) -> PartitionTree:
+    """The tree whose level n cuts the points, taken in ``order``, into
+    consecutive cells of the sizes runs[n]."""
+    levels = []
+    for sizes in runs:
+        assert sum(sizes) == ps.m
+        ends = np.cumsum(sizes)
+        levels.append(tuple(tuple(sorted(order[e - k:e].tolist())) for e, k in zip(ends, sizes)))
+    return PartitionTree(ps, tuple(levels))
+
+
+def pair_list_trees() -> list[PartitionTree]:
+    """Hand-built trees whose levels below the first mix cells of 1, 2, 3, ~40
+    and ~200 points on interleaved indices, and skewed trees like scaled_basis's,
+    each on random points, on points with duplicates, and on points along a
+    line in index order, whose every cell has its farthest pair at its last
+    point."""
+    rng = np.random.default_rng(79)
+    mixed = [
+        [300],
+        [200, 45, 52, 3],
+        [196, 2, 1, 1, 40, 3, 2, 1, 41, 3, 2, 2, 3, 3],
+        [40, 3, 2, 1, 150, 2, 1, 1, 20, 20, 3, 2, 1, 1, 40, 3, 2, 2, 3, 3],
+        [1] * 300,
+    ]
+    # one large cell and singletons, as the greedy trees of scaled_basis(256, sqrt) hold
+    skewed = [[256], [253, 1, 1, 1], [241] + [1] * 15, [200] + [1] * 56, [1] * 256]
+    sets = [
+        rng.standard_normal((300, 3)),
+        rng.standard_normal((30, 3))[rng.integers(0, 30, size=300)],
+        np.cumsum(rng.random((300, 1)) + 0.5, axis=0),
+    ]
+    trees = []
+    for points in sets:
+        trees.append(tree_of_runs(PointSet(points), rng.permutation(300), mixed))
+        trees.append(tree_of_runs(PointSet(points[:256]), rng.permutation(256), skewed))
+    # the greedy tree of a set with duplicates ends in zero-diameter cells
+    return trees + [build_greedy_tree(PointSet(sets[1]), L2)]
+
+
+class TestLevelReads:
+    @pytest.mark.parametrize("entries", [1, 3, 64, None], ids=["1", "3", "64", "default"])
+    def test_pair_list_blocks_match_cell_loops(self, monkeypatch, entries):
+        if entries is not None:
+            monkeypatch.setattr(weibsup.gamma, "_GATHER_ENTRIES", entries)
+        for tree in pair_list_trees():
+            ps = tree.pointset
+            for metric in (L2, LINF):
+                for alpha in (0.5, 2.0):
+                    value = gamma_from_tree(tree, alpha, metric).value
+                    assert value == reference_gamma(tree, alpha, metric)
+            for r in (0.5, 1.5):
+                assert chaining_bound(ps, r, tree) == reference_chaining(tree, r)
+
 
 def closed_form_exact_small(ps: PointSet, metric: Metric, alpha: float) -> float:
     """Reference gamma_alpha for m <= 8: diam(T), plus for m > 4 the term
@@ -860,6 +920,12 @@ class TestChaining:
         tree = build_greedy_tree(ps, L2)
         with pytest.raises(ValueError):
             chaining_bound(ps, 2.5, tree)
+
+    def test_level_weight_overflow_raises_value_error(self):
+        ps = random_set(79, 16, 4)
+        tree = intersect_trees(build_greedy_tree(ps, L2), build_greedy_tree(ps, LINF))
+        with pytest.raises(ValueError, match=r"^level weight 2\^\(2/0.001\) overflows float64$"):
+            chaining_bound(ps, 0.001, tree)
 
     def test_whole_set_level_is_read_in_bands(self):
         m = 1024

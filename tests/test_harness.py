@@ -340,6 +340,28 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="powers of 2"):
             counterexample_run(0.5, [8])
 
+    @pytest.mark.parametrize(
+        "r, n, quantity",
+        [
+            (0.001, 16, r"Gamma\(1 \+ p/r\)"),
+            (0.005862, 16, "esup_closed"),  # Gamma(1 + 1/r) is finite, n times it is not
+            (0.00588, 4096, r"n\^\(\(r\+1\)/\(2r\)\)"),
+            (0.006, 16384, r"2\^\(k/r\)"),
+            (0.022466316707905668, 2**45, "gamma_r_lower"),  # 2^(k/r) is finite, twice it is not
+        ],
+    )
+    def test_overflow_raises_value_error_naming_the_quantity(self, r, n, quantity):
+        with pytest.raises(ValueError, match=f"{quantity} at r={r}, .*overflows float64"):
+            counterexample_run(r, [n])
+
+    def test_largest_finite_values_keep_their_bits(self):
+        (rep,) = counterexample_run(0.0059, [16])
+        k = rep.quantities["k_level"]
+        assert rep.quantities["esup_closed"] == 16 * math.gamma(1.0 + 1.0 / 0.0059)
+        assert rep.quantities["gamma_r_lower"] == 2.0 * 2.0 ** (k / 0.0059)
+        expected = 2.0 ** (1.0 - 1.0 / 0.0059) * 16 ** ((0.0059 + 1.0) / (2.0 * 0.0059))
+        assert rep.quantities["simplified_lower"] == expected
+
 
 class TestTruncation:
     def cfg(self, samples: int = 3000) -> RunConfig:

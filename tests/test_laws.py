@@ -167,6 +167,15 @@ class TestExactMoments:
         with pytest.raises(ValueError):
             exact_abs_moment(1.0, -0.5)
 
+    @pytest.mark.parametrize("r, p", [(0.001, 1.0), (0.01, 2.0), (1e-300, 1e10)])
+    def test_overflow_raises_value_error(self, r, p):
+        # Gamma(1 + p/r) past float64, or p/r itself past it
+        with pytest.raises(ValueError, match=r"Gamma\(1 \+ p/r\) at r=.* overflows float64"):
+            exact_abs_moment(r, p)
+
+    def test_largest_finite_values_keep_their_bits(self):
+        assert exact_abs_moment(0.006, 1.0) == math.gamma(1.0 + 1.0 / 0.006)
+
     def test_mc_moments_within_three_stderr(self):
         stream = RandomStream(404)
         for i, r in enumerate((0.5, 1.0, 2.0)):
@@ -191,6 +200,10 @@ class TestMomentFunctionals:
 
     def test_sup_norm_zero_vector(self):
         assert sup_norm_moment_bound([0.0, 0.0], p=2.0, r=1.0).value == 0.0
+
+    def test_sup_norm_overflow_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"p\^\(1/r\) at r=0.01, p=10000.0 overflows float64"):
+            sup_norm_moment_bound([1.0], p=1e4, r=0.01)
 
     def test_sup_norm_ones(self):
         mf = sup_norm_moment_bound([1.0, 1.0, 1.0, 1.0], p=2.0, r=0.5)
