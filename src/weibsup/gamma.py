@@ -352,35 +352,40 @@ def _sup_level_sum(
     Any other level is one list of its in-cell pairs, each point with itself and
     the later points of its cell, gathered by flat index in blocks of whole
     points' pairs.  A block holds at most _GATHER_ENTRIES pairs, or one point's
-    where those are more, and so bounds every temporary of the read.
+    where those are more, and so bounds every temporary of the read.  A sum
+    that overflows float64 raises ValueError.
     """
     m = labels.shape[1]
     band = max(1, _GATHER_ENTRIES // m)
     acc = np.zeros(m)
-    for n, row in enumerate(labels):
-        if not row.any():  # one cell of every point
-            views = ((mat[i:i + band, i:] for mat in mats) for i in range(0, m, band))
-            acc += max(reduce(np.add, map(np.multiply, coeffs[n], parts)).max() for parts in views)
-            continue
-        order, starts, sizes = _segments(row)
-        # position p, in cell order, pairs with itself and the later positions of its cell
-        counts = np.repeat(starts + sizes, sizes) - np.arange(m)
-        last = np.cumsum(counts)
-        point_max, p = np.empty(m), 0
-        while p < m:
-            base = last[p] - counts[p]
-            q = max(p + 1, int(np.searchsorted(last, base + _GATHER_ENTRIES, side="right")))
-            firsts = last[p:q] - counts[p:q] - base
-            flat = np.repeat(np.arange(p, q) - firsts, counts[p:q])
-            flat += np.arange(flat.size)  # each pair's second position
-            flat = order[flat]
-            flat += np.repeat(order[p:q] * m, counts[p:q])  # each pair's flat index
-            values = reduce(np.add, map(np.multiply, coeffs[n], (mat.take(flat) for mat in mats)))
-            point_max[p:q] = np.maximum.reduceat(values, firsts)
-            del flat, values  # before the next block's are built
-            p = q
-        acc += np.maximum.reduceat(point_max, starts)[row]
-    return float(acc.max())
+    with np.errstate(over="ignore"):  # an overflow leaves inf, checked once below
+        for n, row in enumerate(labels):
+            if not row.any():  # one cell of every point
+                views = ((mat[i:i + band, i:] for mat in mats) for i in range(0, m, band))
+                acc += max(reduce(np.add, map(np.multiply, coeffs[n], parts)).max() for parts in views)
+                continue
+            order, starts, sizes = _segments(row)
+            # position p, in cell order, pairs with itself and the later positions of its cell
+            counts = np.repeat(starts + sizes, sizes) - np.arange(m)
+            last = np.cumsum(counts)
+            point_max, p = np.empty(m), 0
+            while p < m:
+                base = last[p] - counts[p]
+                q = max(p + 1, int(np.searchsorted(last, base + _GATHER_ENTRIES, side="right")))
+                firsts = last[p:q] - counts[p:q] - base
+                flat = np.repeat(np.arange(p, q) - firsts, counts[p:q])
+                flat += np.arange(flat.size)  # each pair's second position
+                flat = order[flat]
+                flat += np.repeat(order[p:q] * m, counts[p:q])  # each pair's flat index
+                values = reduce(np.add, map(np.multiply, coeffs[n], (mat.take(flat) for mat in mats)))
+                point_max[p:q] = np.maximum.reduceat(values, firsts)
+                del flat, values  # before the next block's are built
+                p = q
+            acc += np.maximum.reduceat(point_max, starts)[row]
+    value = float(acc.max())
+    if math.isinf(value):
+        raise ValueError("the chaining level sum overflows float64")
+    return value
 
 
 def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaValue:

@@ -31,7 +31,14 @@ from .laws import (
     exact_abs_moment,
     lp_norm_moment_bound,
 )
-from .mcsup import Driver, SupEstimate, _mc_mean, esup_mc, esup_permuted_prefixes
+from .mcsup import (
+    Driver,
+    SupEstimate,
+    _in_row_blocks,
+    _mc_mean,
+    esup_mc,
+    esup_permuted_prefixes,
+)
 # nothing here calls it, but benchmarks/tracing.py wraps this binding and fails on a
 # name the module does not define
 from .mcsup import esup_permuted_weighted  # noqa: F401
@@ -597,10 +604,11 @@ def moment_check(
     reports: list[BoundReport] = []
     for idx, p in enumerate(p_list):
 
-        def values(rng: np.random.Generator, count: int) -> np.ndarray:
-            x = Driver.weibull(r).coefficients(rng, count, tv.size)
+        def block_powers(rng: np.random.Generator, rows: int) -> np.ndarray:
+            x = Driver.weibull(r).coefficients(rng, rows, tv.size)
             return np.abs(x @ tv) ** p
 
+        values = _in_row_blocks(block_powers, tv.size)
         mean_pow, se_pow = _mc_mean(values, samples, stream.child(idx), workers)
         if mean_pow == 0.0:
             mc_norm, mc_se = 0.0, 0.0

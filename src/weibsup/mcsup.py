@@ -207,6 +207,26 @@ def _row_sups(coeffs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _in_row_blocks(
+    block_values: Callable[[np.random.Generator, int], np.ndarray], width: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """``values(rng, count)`` for ``_mc_mean``: ``block_values(rng, rows)`` on
+    consecutive blocks of max(1, 2^16 // width) of the count rows, all from the
+    one generator, stacked.  With width the larger of a row's coefficient and
+    product counts, max(n, m), a block holds at most 2^16 of each (one row if a
+    row has more), whatever the chunk size.  The height depends on the width
+    alone, so the blocks, and the bits drawn for them, are the same at any
+    worker count."""
+    height = max(1, 2**16 // width)
+
+    def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        return np.concatenate(
+            [block_values(rng, min(height, count - i)) for i in range(0, count, height)]
+        )
+
+    return values
+
+
 def _esup(
     pset: PointSet,
     coefficients: Callable[[np.random.Generator, int, int], np.ndarray],
@@ -215,12 +235,21 @@ def _esup(
     workers: int,
 ) -> SupEstimate:
     """Monte Carlo E max over the points of <coeff, t>, where
-    ``coefficients(rng, count, dim)`` draws ``count`` coefficient rows."""
+    ``coefficients(rng, count, dim)`` draws ``count`` coefficient rows.
+
+    A chunk draws, multiplies and reduces its rows a block at a time
+    (``_in_row_blocks``), so it never holds its count x n coefficients.  A
+    sampler that draws several arrays per call, such as magnitudes and then
+    signs, takes them block by block: the law of the draws is that of one
+    whole-chunk call, but not their bits.
+    """
     points_t = np.ascontiguousarray(pset.points.T)
+    n = pset.dim
 
-    def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        return _row_sups(coefficients(rng, count, pset.dim), points_t)
+    def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
+        return _row_sups(coefficients(rng, rows, n), points_t)
 
+    values = _in_row_blocks(block_sups, max(pset.m, n))
     mean, stderr = _mc_mean(values, samples, stream, workers)
     return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
 
@@ -282,10 +311,11 @@ def esup_permuted_prefixes(
     A draw permutes the coordinate indices, idx, and not the weights: the
     generator shuffles a tiled ``arange(n)`` exactly as it shuffles the tiled
     weights, so g * masked[idx] is the coefficient row of each prefix's mask.
-    A chunk takes the prefixes one at a time, forming a prefix's coefficients
-    just before ``_row_sups`` reduces them: beside g and idx it holds one
-    coefficient array and one block of the product, never a (count, m)
-    product.
+    A chunk draws g and idx a block of rows at a time (``_in_row_blocks``) and
+    takes the block's prefixes one at a time, forming a prefix's coefficients
+    just before ``_row_sups`` reduces them: beside the block's g and idx it
+    holds one block of coefficients and one of the product, never a (count, n)
+    array or a (count, m) product.
     """
     a = np.asarray(weights, dtype=np.float64)
     n = pset.dim
@@ -299,14 +329,15 @@ def esup_permuted_prefixes(
     masks = [np.where(np.arange(n) < prefix_len, a, 0.0) for prefix_len in prefix_lens]
     points_t = np.ascontiguousarray(pset.points.T)
 
-    def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        g = rng.standard_normal((count, n))
-        idx = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-        sups = np.empty((count, len(masks)))
+    def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
+        g = rng.standard_normal((rows, n))
+        idx = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+        sups = np.empty((rows, len(masks)))
         for k, masked in enumerate(masks):
             sups[:, k] = _row_sups(g * masked[idx], points_t)
         return sups
 
+    values = _in_row_blocks(block_sups, max(pset.m, n))
     means, stderrs = _mc_mean(values, samples, stream, workers)
     return [
         SupEstimate(mean=float(mean), stderr=float(stderr), samples=samples, seed=stream.seed)

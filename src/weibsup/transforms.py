@@ -54,7 +54,10 @@ def weights(n: int, s: float) -> WeightVector:
         )
         w = (logs > 0.0).astype(np.float64)
     else:
-        w = logs ** (1.0 / s)
+        with np.errstate(over="ignore"):  # an overflow leaves inf, checked below
+            w = logs ** (1.0 / s)
+        if np.isinf(w).any():
+            raise ValueError(f"weight (log(n/k))^(1/s) at s={s:g} overflows float64")
     w.flags.writeable = False
     return WeightVector(n=n, s=s, w=w)
 

@@ -314,8 +314,11 @@ def test_overflowing_inputs_exit_2_with_one_line(tmp_path, monkeypatch, capsys, 
         (["moments", "--t", "1,2", "--r", "0.01", "--p", "2"], "Gamma(1 + p/r)"),
         (["counterexample", "--r", "0.001", "--n", "16"], "Gamma(1 + p/r)"),
         (["counterexample", "--r", "0.006", "--n", "16384"], "2^(k/r)"),
+        (["transform", "--family", "scaled_basis(3,harmonic)", "--r", "1e-9", "--out", "t.csv"],
+         "(log(n/k))^(1/s) at s=1e-09"),
     ],
-    ids=["gamma_weight", "moments_gamma", "counterexample_gamma", "counterexample_weight"],
+    ids=["gamma_weight", "moments_gamma", "counterexample_gamma", "counterexample_weight",
+         "transform_weight"],
 )
 def test_overflowing_parameters_exit_2_naming_the_quantity(tmp_path, monkeypatch, capsys,
                                                            argv, quantity):
@@ -326,6 +329,16 @@ def test_overflowing_parameters_exit_2_naming_the_quantity(tmp_path, monkeypatch
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.err.endswith("overflows float64\n") and quantity in captured.err
     assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+def test_gamma_whose_level_sum_overflows_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # every distance is finite, but 2^(n/alpha) times one overflows at alpha = 0.01
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text("".join(f"{k}e300,0\n" for k in range(6)))
+    assert main(["gamma", "--set", "big.csv", "--alpha", "0.01", "--samples", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the chaining level sum overflows float64\n"
+    assert captured.out == ""
 
 
 def test_verify_of_an_overflowing_counterexample_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from weibsup.core import PointSet, RandomStream
+from weibsup.harness import moment_check
 from weibsup.laws import conjugate_exponent
 from weibsup.mcsup import (
     Driver,
@@ -236,6 +237,21 @@ def _integer_valued(rng, shape):
     return rng.integers(-8, 9, size=shape).astype(np.float64)
 
 
+_BLOCKED = ("gaussian", "rademacher", "weibull", "cond_gaussian", "prefixes", "moment_check")
+
+
+def _blocked_estimates(kind, pset, samples, seed, workers=1):
+    """The estimates of one estimator whose chunks draw in row blocks."""
+    stream, n = RandomStream(seed), pset.dim
+    if kind == "prefixes":
+        return esup_permuted_prefixes(pset, np.linspace(2.0, 0.0, n), (n, n // 2), samples,
+                                      stream, workers)
+    if kind == "moment_check":
+        return moment_check(pset.points[0], 0.5, (3.0,), samples, stream, workers)
+    driver = Driver(kind, r=None if kind in ("gaussian", "rademacher") else 0.5)
+    return [esup_mc(pset, driver, samples, stream, workers)]
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -296,6 +312,33 @@ class TestRowSups:
         assert _peak_bytes(
             lambda: esup_permuted_prefixes(pset, a, (4, 2), 4096, RandomStream(48))
         ) < limit
+
+    @pytest.mark.parametrize("kind", _BLOCKED)
+    def test_no_chunk_holds_its_count_by_n_coefficients(self, kind):
+        # one 4096-draw chunk at n=8192: its coefficients alone would be 256 MiB
+        pset = PointSet(np.random.default_rng(49).standard_normal((4, 8192)))
+        assert _peak_bytes(lambda: _blocked_estimates(kind, pset, 4096, 50)) < 8 * 2**20
+
+    @pytest.mark.parametrize("kind", _BLOCKED)
+    def test_blocks_that_divide_no_chunk_are_the_same_at_any_worker_count(self, kind):
+        # m=3, n=300: blocks of 2^16 // 300 = 218 rows divide neither 4096 nor 17
+        pset = PointSet(np.random.default_rng(51).standard_normal((3, 300)))
+        samples = 2 * 4096 + 17
+        one = _blocked_estimates(kind, pset, samples, 52, workers=1)
+        assert _blocked_estimates(kind, pset, samples, 52, workers=2) == one
+        assert _blocked_estimates(kind, pset, samples, 52, workers=3) == one
+
+    def test_gaussian_blocks_draw_the_bits_of_a_whole_chunk(self):
+        # numpy draws normals one after another across calls, so blocks of 218 rows
+        # draw a whole chunk's coefficients; one nonzero coordinate per point makes
+        # every product exact, so any BLAS gives these bits
+        pts = np.zeros((3, 300))
+        pts[0, 7], pts[1, 150], pts[2, 299] = 1.0, -2.0, 0.5
+        samples = 2 * 4096 + 17
+        est = esup_mc(PointSet(pts), Driver.gaussian(), samples, RandomStream(53))
+        whole = _mc_mean(lambda rng, c: (rng.standard_normal((c, 300)) @ pts.T).max(axis=1),
+                         samples, RandomStream(53))
+        assert (est.mean, est.stderr) == whole
 
 
 class TestRearrange:
