@@ -161,11 +161,15 @@ class PointSet:
 
 def _power(base: float, exponent: float, quantity: str) -> float:
     """base ** exponent, or ValueError naming ``quantity`` where that overflows
-    float64."""
+    float64, also where the exponent itself overflowed to inf (a ratio over a
+    subnormal), for which ** returns inf without raising."""
     try:
-        return base ** exponent
+        value = base ** exponent
     except OverflowError:
-        raise ValueError(f"{quantity} overflows float64") from None
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"{quantity} overflows float64")
+    return value
 
 
 def _check_coordinates(pts: np.ndarray) -> None:

@@ -34,7 +34,6 @@ from .laws import (
 from .mcsup import (
     Driver,
     SupEstimate,
-    _in_row_blocks,
     _mc_mean,
     esup_mc,
     esup_permuted_prefixes,
@@ -187,7 +186,12 @@ class InstanceFamily:
             bits = (codes[:, None] >> np.arange(self.n)[None, :]) & 1
             pts = bits.astype(np.float64) * 2.0 - 1.0
         elif self.kind == "gaussian_cloud":
-            pts = rng.standard_normal((self.m, self.n)) * self.scale
+            with np.errstate(over="ignore"):  # an overflow leaves inf, checked below
+                pts = rng.standard_normal((self.m, self.n)) * self.scale
+            if not np.isfinite(pts).all():
+                raise ConfigError(
+                    f"gaussian_cloud coordinates at scale {self.scale} overflow float64"
+                )
         else:
             pts = np.diag(_DECAYS[self.decay](np.arange(1.0, self.n + 1.0)))
         return PointSet(pts, label=self.descriptor())
@@ -608,13 +612,14 @@ def moment_check(
             x = Driver.weibull(r).coefficients(rng, rows, tv.size)
             return np.abs(x @ tv) ** p
 
-        values = _in_row_blocks(block_powers, tv.size)
-        mean_pow, se_pow = _mc_mean(values, samples, stream.child(idx), workers)
+        mean_pow, se_pow = _mc_mean(block_powers, samples, stream.child(idx), workers, tv.size)
         if mean_pow == 0.0:
             mc_norm, mc_se = 0.0, 0.0
         else:
             mc_norm = mean_pow ** (1.0 / p)
             mc_se = se_pow * mc_norm / (p * mean_pow)
+            if math.isinf(se_pow * mc_norm) or math.isinf(p * mean_pow):
+                mc_se = mc_norm * (se_pow / mean_pow) / p  # the same ratio, in range
         cor = sup_norm_moment_bound(tv, p, r).value
         lp_bound = lp_norm_moment_bound(tv, p, r).value
         reports.append(

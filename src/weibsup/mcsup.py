@@ -3,7 +3,8 @@
 Each draw samples the driving vector, evaluates the exact maximum of the
 linear process over the point list, and the estimate is the sample mean.
 Sampling is chunked with one substream per chunk and a fixed merge order,
-so estimates are bit-identical for any worker count.
+so estimates are bit-identical for any worker count; ``_mc_mean`` alone
+splits a chunk into row blocks, so no chunk holds all its rows' values.
 
 Order-statistic probes evaluate P(Y*_k >= u) in closed form: the count of
 magnitudes above u is Binomial(n, q) with q = exp(-u^s), so the tail is a
@@ -118,31 +119,26 @@ class SupEstimate:
     seed: int
 
 
-def _chunk_plan(samples: int) -> list[tuple[int, int]]:
-    plan = []
-    start = 0
-    while start < samples:
-        size = min(CHUNK_SIZE, samples - start)
-        plan.append((start, size))
-        start += size
-    return plan
-
-
 def _mc_mean(
-    sample_values: Callable[[np.random.Generator, int], np.ndarray],
+    block_values: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
     stream: RandomStream,
     workers: int = 1,
+    width: int = 1,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Chunked Monte Carlo mean and standard error of the mean.
 
-    Chunk sizes and substreams depend only on ``samples`` and ``stream``,
-    and per-chunk (count, sum, M2) are merged in chunk order with the
-    Chan-Golub-LeVeque update, so the result does not depend on ``workers``
-    and the variance does not cancel when the mean dwarfs the spread.  The
-    variance is carried times 2^-2e, with 2^e above every chunk's largest
-    |draw|, so no square overflows; short of underflow the scaling is exact
-    and changes no bit.
+    Chunk idx holds draws idx * CHUNK_SIZE onward, from substream idx, and
+    stacks ``block_values(rng, rows)`` over consecutive blocks of
+    max(1, 2^16 // width) of its rows, all from its one generator.  With
+    ``width`` the most values a row takes at any step, a block holds at most
+    2^16 of them (one row if a row has more).  Chunks, substreams and blocks
+    depend only on ``samples``, ``stream`` and ``width``, and per-chunk
+    (count, sum, M2) are merged in chunk order with the Chan-Golub-LeVeque
+    update, so the result does not depend on ``workers`` and the variance
+    does not cancel when the mean dwarfs the spread.  The variance is carried
+    times 2^-2e, with 2^e above every chunk's largest |draw|, so no square
+    overflows; short of underflow the scaling is exact and changes no bit.
 
     Draws of shape (count, K) are K columns, merged in one array pass: the
     mean and stderr are then arrays of K entries, entry k with the bits a
@@ -150,13 +146,17 @@ def _mc_mean(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    plan = _chunk_plan(samples)
+    height = max(1, 2**16 // width)
 
-    def run_chunk(item: tuple[int, tuple[int, int]]) -> tuple:
-        idx, (start, size) = item
+    def run_chunk(idx: int) -> tuple:
+        start = idx * CHUNK_SIZE
+        size = min(CHUNK_SIZE, samples - start)
         rng = stream.child(idx).generator()
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite draws raise below
-            vals = np.asarray(sample_values(rng, size), dtype=np.float64)
+            vals = np.concatenate(
+                [block_values(rng, min(height, size - i)) for i in range(0, size, height)],
+                dtype=np.float64,
+            )
         # one contiguous row per column, so each row sums as that column alone would
         cols = np.ascontiguousarray(vals.reshape(size, -1).T)
         finite = np.isfinite(cols).all(axis=0)
@@ -169,7 +169,7 @@ def _mc_mean(
         chunk_m2 = np.square(scaled - (part / size)[:, None]).sum(axis=1)
         return vals.shape[1:], size, cols.sum(axis=1), exp, part, chunk_m2
 
-    partials = _ordered_map(run_chunk, enumerate(plan), workers)
+    partials = _ordered_map(run_chunk, range(-(-samples // CHUNK_SIZE)), workers)
     shape = partials[0][0]
     _, sizes, sums, exps, parts, m2s = zip(*partials)
     top = np.max(exps, axis=0)
@@ -190,41 +190,8 @@ def _mc_mean(
 
 
 def _row_sups(coeffs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
-    """``(coeffs @ points_t).max(axis=1)``, never holding more than one block of
-    the product.  A block is max(1, 2^16 // m) rows of it, at most 2^16 values
-    (one row if a row is larger), written into one reused buffer and reduced to
-    its row maxima while still in cache.  The height depends on m alone, not on
-    the chunk or worker count.  Each row is the same dot products as in the
-    whole product; on the BLAS tested (OpenBLAS 0.3.31) they have the same bits,
-    but another build may order a block's sums differently."""
-    count, m = coeffs.shape[0], points_t.shape[1]
-    height = max(1, 2**16 // m)
-    buf, out = np.empty((min(height, count), m)), np.empty(count)
-    for i in range(0, count, height):
-        rows = min(height, count - i)
-        np.matmul(coeffs[i:i + rows], points_t, out=buf[:rows])
-        buf[:rows].max(axis=1, out=out[i:i + rows])
-    return out
-
-
-def _in_row_blocks(
-    block_values: Callable[[np.random.Generator, int], np.ndarray], width: int
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """``values(rng, count)`` for ``_mc_mean``: ``block_values(rng, rows)`` on
-    consecutive blocks of max(1, 2^16 // width) of the count rows, all from the
-    one generator, stacked.  With width the larger of a row's coefficient and
-    product counts, max(n, m), a block holds at most 2^16 of each (one row if a
-    row has more), whatever the chunk size.  The height depends on the width
-    alone, so the blocks, and the bits drawn for them, are the same at any
-    worker count."""
-    height = max(1, 2**16 // width)
-
-    def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.concatenate(
-            [block_values(rng, min(height, count - i)) for i in range(0, count, height)]
-        )
-
-    return values
+    """Each coefficient row's maximum over the points (one ``_mc_mean`` block)."""
+    return (coeffs @ points_t).max(axis=1)
 
 
 def _esup(
@@ -237,8 +204,9 @@ def _esup(
     """Monte Carlo E max over the points of <coeff, t>, where
     ``coefficients(rng, count, dim)`` draws ``count`` coefficient rows.
 
-    A chunk draws, multiplies and reduces its rows a block at a time
-    (``_in_row_blocks``), so it never holds its count x n coefficients.  A
+    ``_mc_mean`` hands each chunk's rows over in blocks of
+    max(1, 2^16 // max(m, n)), each drawn, multiplied and reduced at once,
+    so a chunk never holds its count x n coefficients or count x m product.  A
     sampler that draws several arrays per call, such as magnitudes and then
     signs, takes them block by block: the law of the draws is that of one
     whole-chunk call, but not their bits.
@@ -249,8 +217,7 @@ def _esup(
     def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
         return _row_sups(coefficients(rng, rows, n), points_t)
 
-    values = _in_row_blocks(block_sups, max(pset.m, n))
-    mean, stderr = _mc_mean(values, samples, stream, workers)
+    mean, stderr = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))
     return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
 
 
@@ -311,11 +278,12 @@ def esup_permuted_prefixes(
     A draw permutes the coordinate indices, idx, and not the weights: the
     generator shuffles a tiled ``arange(n)`` exactly as it shuffles the tiled
     weights, so g * masked[idx] is the coefficient row of each prefix's mask.
-    A chunk draws g and idx a block of rows at a time (``_in_row_blocks``) and
-    takes the block's prefixes one at a time, forming a prefix's coefficients
-    just before ``_row_sups`` reduces them: beside the block's g and idx it
-    holds one block of coefficients and one of the product, never a (count, n)
-    array or a (count, m) product.
+    ``_mc_mean`` hands each chunk's rows over in blocks of
+    max(1, 2^16 // max(m, n)).  A block draws its g and idx and takes its
+    prefixes one at a time, forming a prefix's coefficients just before
+    ``_row_sups`` reduces them: beside the block's g and idx it holds one
+    block of coefficients and one of the product, never a (count, n) array
+    or a (count, m) product.
     """
     a = np.asarray(weights, dtype=np.float64)
     n = pset.dim
@@ -337,8 +305,7 @@ def esup_permuted_prefixes(
             sups[:, k] = _row_sups(g * masked[idx], points_t)
         return sups
 
-    values = _in_row_blocks(block_sups, max(pset.m, n))
-    means, stderrs = _mc_mean(values, samples, stream, workers)
+    means, stderrs = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))
     return [
         SupEstimate(mean=float(mean), stderr=float(stderr), samples=samples, seed=stream.seed)
         for mean, stderr in zip(means, stderrs)

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from weibsup.cli import main
@@ -566,3 +568,121 @@ def test_generated_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, config, ar
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == sorted([*_INPUTS, "cfg.json"])
+
+
+# Floats at the float64 edges, the ordinary values the options are meant for, and any float.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, 1e-300, -1e-300, 1e300, math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.1, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 8.0]),
+    st.floats(),
+)
+
+
+def _float_flag(name):
+    return _EDGE_FLOATS.map(lambda x: [f"--{name}={x!r}"])
+
+
+def _float_list_flag(name, values=_EDGE_FLOATS):
+    return st.lists(values, min_size=1, max_size=3).map(
+        lambda xs: [f"--{name}={','.join(map(repr, xs))}"]
+    )
+
+
+# a source is a family spec, or the generated rows written to pts.csv
+_EDGE_SOURCE = st.one_of(
+    _EDGE_FLOATS.map(lambda scale: (["--family", f"gaussian_cloud(2,3,{scale!r})"], None)),
+    st.sampled_from(["gaussian_cloud(3,4,1.0)", "scaled_basis(3,harmonic)"]).map(
+        lambda spec: (["--family", spec], None)
+    ),
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(_EDGE_FLOATS, min_size=n, max_size=n), min_size=1, max_size=4)
+    ).map(lambda rows: (["--set", "pts.csv"], rows)),
+)
+_SIM_DRIVER = st.one_of(
+    st.sampled_from([["--driver=gaussian"], ["--driver=rademacher"]]),
+    st.tuples(st.sampled_from(["weibull", "cond_gaussian"]), _EDGE_FLOATS).map(
+        lambda pair: [f"--driver={pair[0]}", f"--r={pair[1]!r}"]
+    ),
+)
+
+
+def _with_source(command, *parts):
+    return st.tuples(_EDGE_SOURCE, *parts).map(
+        lambda groups: ([command, *groups[0][0], *(a for g in groups[1:] for a in g)],
+                        groups[0][1])
+    )
+
+
+def _without_source(command, *parts):
+    return st.tuples(*parts).map(lambda groups: ([command, *(a for g in groups for a in g)], None))
+
+
+_EDGE_CASES = st.one_of(
+    _with_source("simulate", _SIM_DRIVER, st.just(["--samples=100"])),
+    _with_source("gamma", _float_flag("alpha"),
+                 st.sampled_from([["--metric=l2"], ["--metric=linf"]]), st.just(["--samples=100"])),
+    _with_source("transform", st.sampled_from(["r", "s"]).flatmap(_float_flag),
+                 st.sampled_from([[], ["--perm=random"]]), st.just(["--out=out.csv"])),
+    _without_source("counterexample", _float_flag("r"),
+                    st.sampled_from([["--n=16"], ["--n=16,64"]])),
+    # moment orders must be >= 2, so valid ones are drawn more often
+    _without_source("moments", _float_list_flag("t"), _float_flag("r"),
+                    _float_list_flag("p", st.one_of(st.sampled_from([2.0, 3.0, 8.0]),
+                                                    _EDGE_FLOATS)),
+                    st.just(["--samples=100"])),
+)
+
+
+def _printed_numbers(command, out, tmp_path):
+    """Every number a successful run printed (or, for transform, wrote)."""
+    if command == "transform":
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]  # a '# s=... perm=...' header
+        return [float(x) for row in rows for x in row.split(",")]
+    if command == "counterexample":
+        return [float(x) for x in re.findall(r"ratio_\w+=(\S+)", out)]
+    numbers = []
+
+    def number(text):
+        numbers.append(float(text))
+        return numbers[-1]
+
+    json.loads(out, parse_float=number, parse_int=number, parse_constant=number)
+    return numbers
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_EDGE_CASES)
+# a finite level weight times a finite distance overflows the chaining level sum
+@example(case=(["gamma", "--set", "pts.csv", "--alpha=0.01", "--samples=100"],
+               [[k * 1e300, 0.0] for k in range(6)]))
+# 1 / alpha overflows to inf at a subnormal alpha, and 2^inf gives inf without raising
+@example(case=(["gamma", "--family", "gaussian_cloud(2,3,1e-300)", "--alpha=2.2250738585e-313",
+                "--samples=100"], None))
+# a finite scale times a normal draw overflows
+@example(case=(["simulate", "--family", "gaussian_cloud(2,3,1.2452063435129106e+308)",
+                "--samples=100"], None))
+# (log(n/k))^(1/s) overflows at s = 1e-9
+@example(case=(["transform", "--family", "scaled_basis(3,harmonic)", "--r=1e-09",
+                "--out=out.csv"], None))
+# the stderr of E|<t, X>|^2 times the norm overflows, though their ratio to the mean does not
+@example(case=(["moments", "--t=4.191960755140169e+95", "--r=0.1", "--p=2.0", "--samples=100"],
+               None))
+def test_edge_floats_give_finite_output_or_one_error_line(tmp_path, monkeypatch, capsys, case):
+    argv, rows = case
+    monkeypatch.chdir(tmp_path)
+    for entry in os.listdir(tmp_path):  # what the previous example wrote
+        os.remove(entry)
+    if rows is not None:
+        (tmp_path / "pts.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in ((0, 1, 2) if argv[0] == "counterexample" else (0, 2))
+    if code == 0:
+        assert all(map(math.isfinite, _printed_numbers(argv[0], out, tmp_path)))
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1

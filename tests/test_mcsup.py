@@ -328,6 +328,24 @@ class TestRowSups:
         assert _blocked_estimates(kind, pset, samples, 52, workers=2) == one
         assert _blocked_estimates(kind, pset, samples, 52, workers=3) == one
 
+    def test_mc_mean_hands_each_chunk_over_in_blocks_of_2_16_over_width_rows(self):
+        samples = 2 * 4096 + 17
+
+        def block_rows(**width):
+            rows_seen = []
+
+            def block_values(rng, rows):
+                rows_seen.append(rows)
+                return rng.standard_normal(rows)
+
+            _mc_mean(block_values, samples, RandomStream(54), **width)
+            return rows_seen
+
+        # 2^16 // 300 = 218 rows, and 4096 = 18 * 218 + 172
+        assert block_rows(width=300) == 2 * ([218] * 18 + [172]) + [17]
+        assert block_rows() == [4096, 4096, 17]
+        assert sum(block_rows(width=300)) == samples
+
     def test_gaussian_blocks_draw_the_bits_of_a_whole_chunk(self):
         # numpy draws normals one after another across calls, so blocks of 218 rows
         # draw a whole chunk's coefficients; one nonzero coordinate per point makes
