@@ -224,6 +224,55 @@ def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(pts, -exp), exp
 
 
+def _axis_form(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(axes, values) when every point has at most one nonzero coordinate, point i
+    then being values[i] on coordinate axis axes[i] (a zero point is axis 0, value
+    0); None for any other set.  On such a set every dot product and every
+    distance has one or two nonzero terms, which the kernels here read directly."""
+    nonzero = points != 0.0
+    if (np.count_nonzero(nonzero, axis=1) > 1).any():
+        return None
+    axes = nonzero.argmax(axis=1)
+    return axes, points[np.arange(points.shape[0]), axes]
+
+
+def _check_distances(out: np.ndarray, metric: Metric) -> np.ndarray:
+    if not out.max(initial=0.0) < np.inf:  # also catches NaN
+        raise ValueError(f"{metric} distances between these points overflow float64")
+    return out
+
+
+def _axis_distance_matrix(axes: np.ndarray, values: np.ndarray, metric: Metric) -> np.ndarray:
+    """The l2 or linf matrix of points on coordinate axes (see ``_axis_form``), with
+    the walker's bits.  From the unit-scaled values v, an entry is, under l2,
+    sqrt(square(v_i) + square(v_j)) between points on two axes and
+    sqrt(square(v_i - v_j)) on one; under linf, max(|v_i|, |v_j|) and |v_i - v_j|.
+    Those are the walker's sums and maxima less their exact zeros.  Rows are
+    written into the output in blocks of at most 2^16 entries (one row if a row
+    is longer): the cross-axis value in place, then the one-axis value, from one
+    reused buffer, where the axes agree.  The output is scaled back in place,
+    and an overflow raises the walker's ValueError."""
+    v, exp = _unit_scaled(values)
+    m = v.size
+    l2 = metric.p == 2.0
+    term, cross = (np.square, np.add) if l2 else (np.abs, np.maximum)
+    terms = term(v)
+    rows = max(1, 2**16 // max(1, m))
+    out, same_buf = np.empty((m, m)), np.empty(rows * m)
+    for i0 in range(0, m, rows):
+        block = out[i0:i0 + rows]
+        i1 = i0 + len(block)
+        same = np.subtract(v[i0:i1, None], v, out=same_buf[: block.size].reshape(block.shape))
+        term(same, out=same)
+        cross(terms[i0:i1, None], terms, out=block)
+        np.copyto(block, same, where=axes[i0:i1, None] == axes)
+        if l2:
+            np.sqrt(block, out=block)
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
+        np.ldexp(out, exp, out=out)
+    return _check_distances(out, metric)
+
+
 def _distance_matrices(pts: np.ndarray, metric: Metric, rows: int, reduce: Callable) -> np.ndarray:
     """The distance matrices ``reduce`` gives of the points, each pair computed once.
 
@@ -253,9 +302,7 @@ def _distance_matrices(pts: np.ndarray, metric: Metric, rows: int, reduce: Calla
             out[..., i0:i1, i0:] = block
             for r in range(i1 - i0 - 1):  # inside the block, the lower half mirrors the upper
                 out[..., i0 + r + 1:i1, i0 + r] = block[..., r, r + 1:i1 - i0]
-    if not out.max(initial=0.0) < np.inf:  # also catches NaN
-        raise ValueError(f"{metric} distances between these points overflow float64")
-    return out
+    return _check_distances(out, metric)
 
 
 def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
@@ -287,9 +334,16 @@ def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> n
     """Dense m-by-m distance matrix.  Its bits do not depend on the block height, so
     a block is as many rows as fit 2^16 differences (one row if a row is larger):
     enough to spread the walk's per-block work over short rows, and too few to
-    add more than 512 KB to the matrix's own O(m^2) memory."""
+    add more than 512 KB to the matrix's own O(m^2) memory.
+
+    Under l2 and linf, a set whose points each lie on a coordinate axis is not
+    walked: ``_axis_distance_matrix`` gives it the same bits in O(m^2) instead
+    of O(m^2 n)."""
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
     _check_coordinates(pts)
+    axis = _axis_form(pts) if pts.ndim == 2 and metric.p in (2.0, math.inf) else None
+    if axis is not None:
+        return _axis_distance_matrix(*axis, metric)
     rows = max(1, 2**16 // max(1, pts.size))
     return _distance_matrices(pts, metric, rows, functools.partial(_row_norms, metric=metric))
 

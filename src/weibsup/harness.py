@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import numpy as np
 
 from .core import Metric, PointSet, RandomStream, _check_workers, _power, load_points_csv
 from .gamma import (
+    PartitionTree,
     build_greedy_tree,
     chaining_bound,
     gamma_from_tree,
@@ -459,15 +461,24 @@ def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     return _grid_reports(_instance_grid(cfg), _main_bound_instance, cfg, workers)
 
 
-def _r1_bound_instance(inst: _Instance, cfg: RunConfig, workers: int) -> BoundReport:
+def _r1_bound_instance(
+    inst: _Instance, cfg: RunConfig, workers: int,
+    by_set: dict[PointSet, tuple[PartitionTree, float, PartitionTree]],
+) -> BoundReport:
+    """One r1_bound report.  Both greedy trees, gamma_2(T, d_2) and the trees'
+    intersection do not depend on r: the first instance of a point set computes
+    them into ``by_set``, keyed by the set, and the later ones read them there."""
     pset, r = inst.pset, inst.r
     est, epi, report = _bound_head("r1_bound", inst, cfg, workers)
-    tree_l2 = build_greedy_tree(pset, Metric.l2())
-    tree_linf = build_greedy_tree(pset, Metric.linf())
-    g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
+    if pset not in by_set:
+        tree_l2 = build_greedy_tree(pset, Metric.l2())
+        tree_linf = build_greedy_tree(pset, Metric.linf())
+        g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
+        by_set[pset] = tree_linf, g2, intersect_trees(tree_l2, tree_linf)
+    tree_linf, g2, both = by_set[pset]
     gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
     gamma_sum = g2 + gr
-    chain = chaining_bound(pset, r, intersect_trees(tree_l2, tree_linf))
+    chain = chaining_bound(pset, r, both)
     report.quantities.update(
         gamma2_d2=g2, gamma_r_dinf=gr, gamma_sum=gamma_sum, chaining_bound=chain
     )
@@ -489,7 +500,8 @@ def _r1_bound_instance(inst: _Instance, cfg: RunConfig, workers: int) -> BoundRe
 
 def verify_r1_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     """Compare esup to gamma_2(T,d_2) + gamma_r(T,d_inf) and to E_pi gamma_2(T_pi)."""
-    return _grid_reports(_instance_grid(cfg), _r1_bound_instance, cfg, workers)
+    instance_fn = functools.partial(_r1_bound_instance, by_set={})
+    return _grid_reports(_instance_grid(cfg), instance_fn, cfg, workers)
 
 
 def counterexample_run(r: float, n_list: Sequence[int]) -> list[BoundReport]:
@@ -734,7 +746,10 @@ def run(config_path: str, workers: int = 1, overrides: dict[str, Any] | None = N
         print(f"error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
-    instance_fn = _main_bound_instance if cfg.name == "main_bound" else _r1_bound_instance
+    if cfg.name == "main_bound":
+        instance_fn = _main_bound_instance
+    else:
+        instance_fn = functools.partial(_r1_bound_instance, by_set={})
     try:
         with report_file:
             reports += _grid_reports(grid, _recording(instance_fn), cfg, workers)

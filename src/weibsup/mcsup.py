@@ -5,6 +5,10 @@ linear process over the point list, and the estimate is the sample mean.
 Sampling is chunked with one substream per chunk and a fixed merge order,
 so estimates are bit-identical for any worker count; ``_mc_mean`` alone
 splits a chunk into row blocks, so no chunk holds all its rows' values.
+A block's maxima come from its coefficient rows times the points, a dense
+O(m n) product per draw, except on a set whose points each lie on a
+coordinate axis: there the maximum is max_i a_i X_{axis(i)}, O(m) per draw,
+with the product's bits.
 
 Order-statistic probes evaluate P(Y*_k >= u) in closed form: the count of
 magnitudes above u is Binomial(n, q) with q = exp(-u^s), so the tail is a
@@ -20,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PointSet, RandomStream, _ordered_map
+from .core import PointSet, RandomStream, _axis_form, _ordered_map
 from .laws import _flip_signs, abs_weibull, conjugate_exponent, symmetric_weibull
 
 __all__ = [
@@ -194,6 +198,31 @@ def _row_sups(coeffs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
     return (coeffs @ points_t).max(axis=1)
 
 
+def _axis_row_sups(coeffs: np.ndarray, axes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``_row_sups`` of points on coordinate axes (``core._axis_form``): each row's
+    max over i of values[i] * coeffs[:, axes[i]], the one nonzero term of each dot
+    product, plus 0.0 so that a -0 reads as the +0 the product sums to.  A row with
+    a non-finite coefficient, where the product's inf * 0 gives NaN, gives NaN."""
+    prods = coeffs.take(axes, axis=1)
+    prods *= values
+    sups = prods.max(axis=1)
+    sups += 0.0
+    sups[~np.isfinite(coeffs).all(axis=1)] = np.nan
+    return sups
+
+
+def _sups_reader(pset: PointSet) -> Callable[[np.ndarray], np.ndarray]:
+    """Coefficient rows -> their maxima over the set's points: ``_axis_row_sups``,
+    O(m) per row, when every point lies on a coordinate axis, else ``_row_sups``,
+    O(m n) per row.  Both give the same bits on an axis set, where no product
+    underflows to zero."""
+    axis = _axis_form(pset.points)
+    if axis is not None:
+        return lambda coeffs: _axis_row_sups(coeffs, *axis)
+    points_t = np.ascontiguousarray(pset.points.T)
+    return lambda coeffs: _row_sups(coeffs, points_t)
+
+
 def _esup(
     pset: PointSet,
     coefficients: Callable[[np.random.Generator, int, int], np.ndarray],
@@ -206,16 +235,17 @@ def _esup(
 
     ``_mc_mean`` hands each chunk's rows over in blocks of
     max(1, 2^16 // max(m, n)), each drawn, multiplied and reduced at once,
-    so a chunk never holds its count x n coefficients or count x m product.  A
+    so a chunk never holds its count x n coefficients or count x m product.
+    ``_sups_reader`` reduces a block: on points that each lie on a coordinate
+    axis it reads one coefficient per point, not the whole product.  A
     sampler that draws several arrays per call, such as magnitudes and then
     signs, takes them block by block: the law of the draws is that of one
     whole-chunk call, but not their bits.
     """
-    points_t = np.ascontiguousarray(pset.points.T)
-    n = pset.dim
+    row_sups, n = _sups_reader(pset), pset.dim
 
     def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _row_sups(coefficients(rng, rows, n), points_t)
+        return row_sups(coefficients(rng, rows, n))
 
     mean, stderr = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))
     return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
@@ -281,7 +311,8 @@ def esup_permuted_prefixes(
     ``_mc_mean`` hands each chunk's rows over in blocks of
     max(1, 2^16 // max(m, n)).  A block draws its g and idx and takes its
     prefixes one at a time, forming a prefix's coefficients just before
-    ``_row_sups`` reduces them: beside the block's g and idx it holds one
+    ``_sups_reader``'s reader reduces them (in O(m) per row on points that
+    each lie on a coordinate axis): beside the block's g and idx it holds one
     block of coefficients and one of the product, never a (count, n) array
     or a (count, m) product.
     """
@@ -295,14 +326,14 @@ def esup_permuted_prefixes(
         if not 1 <= prefix_len <= n:
             raise ValueError(f"prefix length must lie in [1, {n}], got {prefix_len}")
     masks = [np.where(np.arange(n) < prefix_len, a, 0.0) for prefix_len in prefix_lens]
-    points_t = np.ascontiguousarray(pset.points.T)
+    row_sups = _sups_reader(pset)
 
     def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
         g = rng.standard_normal((rows, n))
         idx = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
         sups = np.empty((rows, len(masks)))
         for k, masked in enumerate(masks):
-            sups[:, k] = _row_sups(g * masked[idx], points_t)
+            sups[:, k] = row_sups(g * masked[idx])
         return sups
 
     means, stderrs = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))

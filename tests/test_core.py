@@ -1,8 +1,10 @@
+import functools
 import math
 import threading
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -409,6 +411,101 @@ class TestKernelsMatchTheirReferences:
             mats = _weighted_l2_matrices(pts, sq)
             assert np.array_equal(mats, reference_weighted(pts, sq))
             assert not mats.flags.writeable
+
+
+def axis_points(axes, values, n: int) -> np.ndarray:
+    pts = np.zeros((len(axes), n))
+    pts[np.arange(len(axes)), axes] = values
+    return pts
+
+
+@st.composite
+def axis_sets(draw, max_m: int = 24, max_n: int = 6) -> np.ndarray:
+    """Points on coordinate axes: repeated axes, zero points, both signs and
+    magnitudes from 1e-200 to 1e300."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+    axes = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m, max_size=m))
+    powers = draw(st.lists(st.floats(-200.0, 300.0), min_size=m, max_size=m))
+    return axis_points(axes, np.array(signs) * 10.0 ** np.array(powers), n)
+
+
+def walked(pts: np.ndarray, metric: Metric) -> np.ndarray:
+    """The pair walk's matrix, at the block height ``pairwise_distance_matrix`` uses."""
+    rows = max(1, 2**16 // pts.size)
+    return core._distance_matrices(pts, metric, rows, functools.partial(core._row_norms, metric=metric))
+
+
+def not_walked(*args):
+    raise AssertionError("an axis set was walked")
+
+
+class TestAxisSets:
+    @pytest.mark.parametrize(
+        "pts, axes",
+        [(np.diag([3.0, -1.0]), [0, 1]), (np.zeros((2, 3)), [0, 0]),
+         (np.array([[0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]), [2, 0, 0])],
+    )
+    def test_detector_gives_each_point_its_axis_and_value(self, pts, axes):
+        got_axes, values = core._axis_form(pts)
+        assert got_axes.tolist() == axes
+        assert values.tolist() == pts.sum(axis=1).tolist()
+
+    def test_detector_rejects_a_point_off_the_axes(self):
+        assert core._axis_form(np.array([[1.0, 0.0], [1.0, 1.0]])) is None
+        assert core._axis_form(np.ones((1, 2))) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=axis_sets())
+    @example(pts=axis_points([0], [1.0], 1))
+    @example(pts=axis_points([0, 0, 0], [1.0, 1e-200, 2e-200], 1))
+    @example(pts=axis_points([0, 2, 2, 1], [-0.0, 1e300, -1e300, 0.0], 3))
+    def test_matrices_have_the_walkers_bits(self, pts):
+        for metric in (Metric.l2(), Metric.linf()):
+            with mock.patch.object(core, "_distance_matrices", not_walked):
+                got = pairwise_distance_matrix(pts, metric)
+            assert got.tobytes() == walked(pts, metric).tobytes()
+
+    def test_uneven_row_blocks_have_the_walkers_bits(self):
+        # m=300: blocks of 2^16 // 300 = 218 rows, and 300 = 218 + 82
+        rng = np.random.default_rng(61)
+        pts = axis_points(rng.integers(0, 40, 300), rng.standard_normal(300) * 1e3, 40)
+        pts[::7] = 0.0
+        for metric in (Metric.l2(), Metric.linf()):
+            with mock.patch.object(core, "_distance_matrices", not_walked):
+                got = pairwise_distance_matrix(pts, metric)
+            assert got.tobytes() == walked(pts, metric).tobytes()
+
+    def test_one_axis_underflow_is_the_walkers(self):
+        # 1e-200 - 2e-200 squares to 0.0, so l2 reads 0.0 where linf reads 1e-200
+        pts = axis_points([0, 0, 0], [1.0, 1e-200, 2e-200], 2)
+        l2, linf = (pairwise_distance_matrix(pts, m) for m in (Metric.l2(), Metric.linf()))
+        assert (l2[1, 2], linf[1, 2]) == (0.0, 1e-200)
+        assert l2.tobytes() == walked(pts, Metric.l2()).tobytes()
+        assert linf.tobytes() == walked(pts, Metric.linf()).tobytes()
+
+    @pytest.mark.parametrize(
+        "axes, values",
+        [([0, 0], [1e308, -1e308]), ([0, 1], [1.5e308, 1.5e308]), ([1, 1, 0], [1e308, -1e308, 0.0])],
+    )
+    def test_overflow_raises_the_walkers_message(self, axes, values):
+        pts = axis_points(axes, values, 2)
+        for metric in (Metric.l2(), Metric.linf()):
+            try:
+                expected = walked(pts, metric)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    pairwise_distance_matrix(pts, metric)
+            else:
+                assert pairwise_distance_matrix(pts, metric).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="^l2 distances between these points overflow"):
+            pairwise_distance_matrix(pts, Metric.l2())
+
+    def test_other_metrics_are_walked(self):
+        pts = axis_points([0, 1], [1.0, 2.0], 2)
+        with mock.patch.object(core, "_distance_matrices", not_walked):
+            with pytest.raises(AssertionError, match="walked"):
+                pairwise_distance_matrix(pts, Metric.lp(1.5))
 
 
 class TestPointsWithoutCoordinates:

@@ -8,7 +8,7 @@ import pytest
 
 from weibsup import harness
 from weibsup.cli import main as cli_main
-from weibsup.core import RandomStream
+from weibsup.core import Metric, RandomStream
 from weibsup.harness import (
     BoundReport,
     ConfigError,
@@ -289,6 +289,38 @@ class TestVerifyR1Bound:
         r0 = reports[0].ratios["esup_weibull_over_gamma_sum"]
         r1 = reports[1].ratios["esup_weibull_over_gamma_sum"]
         assert r0 == pytest.approx(r1, rel=1e-9)
+
+    def test_r_independent_work_is_done_once_per_family(self, monkeypatch):
+        cfg = RunConfig(
+            name="r1_bound",
+            families=(InstanceFamily("gaussian_cloud", seed=4, n=8, m=16),
+                      InstanceFamily("scaled_basis", n=12, decay="sqrt")),
+            r_values=(1.0, 1.25, 1.5),
+            samples=3000,
+            num_perms=2,
+            seed=8,
+        )
+        # each instance on its own: every r rebuilds what it needs
+        grid = harness._instance_grid(cfg)
+        alone = [harness._r1_bound_instance(inst, cfg, 1, by_set={}) for inst in grid]
+        calls = []
+        for name in ("build_greedy_tree", "gamma_from_tree", "intersect_trees"):
+            def counted(*args, _name=name, _fn=getattr(harness, name)):
+                calls.append((_name, str(args[-1]) if isinstance(args[-1], Metric) else None))
+                return _fn(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        reports = verify_r1_bound(cfg)
+        assert reports_json_text(reports) == reports_json_text(alone)
+        tally = {key: calls.count(key) for key in set(calls)}
+        families, instances = len(cfg.families), len(cfg.families) * len(cfg.r_values)
+        assert tally == {
+            ("build_greedy_tree", "l2"): families,
+            ("build_greedy_tree", "linf"): families,
+            ("gamma_from_tree", "l2"): families,
+            ("gamma_from_tree", "linf"): instances,
+            ("intersect_trees", None): families,
+        }
 
     def test_r_domain(self):
         cfg = RunConfig(

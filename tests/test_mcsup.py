@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from weibsup.core import PointSet, RandomStream
+from weibsup import mcsup
+from weibsup.core import PointSet, RandomStream, _axis_form
 from weibsup.harness import moment_check
 from weibsup.laws import conjugate_exponent
 from weibsup.mcsup import (
@@ -16,6 +18,7 @@ from weibsup.mcsup import (
     _esup,
     _mc_mean,
     _row_sups,
+    _sups_reader,
     build_probe_schedule,
     esup_mc,
     esup_permuted_prefixes,
@@ -357,6 +360,88 @@ class TestRowSups:
         whole = _mc_mean(lambda rng, c: (rng.standard_normal((c, 300)) @ pts.T).max(axis=1),
                          samples, RandomStream(53))
         assert (est.mean, est.stderr) == whole
+
+
+def _axis_points(axes, values, n):
+    pts = np.zeros((len(axes), n))
+    pts[np.arange(len(axes)), axes] = values
+    return pts
+
+
+@st.composite
+def _axis_sets(draw):
+    """Points on coordinate axes: repeated axes, zero points, both signs and
+    magnitudes from 1e-200 to 1e300; n = 300 gives blocks of 218 rows."""
+    m, n = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3, 5, 300]))
+    axes = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m, max_size=m))
+    powers = draw(st.lists(st.floats(-200.0, 300.0), min_size=m, max_size=m))
+    return _axis_points(axes, np.array(signs) * 10.0 ** np.array(powers), n)
+
+
+_DRIVERS = (Driver.gaussian(), Driver.rademacher(), Driver.weibull(0.5), Driver.weibull(2.0),
+            Driver.cond_gaussian(1.0))
+
+
+def _permuted_coefficients(rng, rows, n):
+    # one prefix's coefficient rows, as esup_permuted_prefixes forms them
+    masked = np.where(np.arange(n) < max(1, n // 2), np.linspace(2.0, 0.5, n), 0.0)
+    idx = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+    return rng.standard_normal((rows, n)) * masked[idx]
+
+
+def _not_dense(*args):
+    raise AssertionError("an axis set was read by the dense product")
+
+
+class TestAxisSets:
+    @settings(max_examples=100, deadline=None)
+    @given(pts=_axis_sets(), seed=st.integers(0, 2**32 - 1))
+    @example(pts=_axis_points([0], [1.0], 1), seed=0)
+    @example(pts=_axis_points([0, 0, 1], [0.0, -1e-200, 1e300], 2), seed=1)
+    def test_row_maxima_have_the_dense_products_bits(self, pts, seed):
+        pset = PointSet(pts)
+        assert _axis_form(pset.points) is not None
+        row_sups, rng, n = _sups_reader(pset), np.random.default_rng(seed), pset.dim
+        samplers = [d.coefficients for d in _DRIVERS] + [_permuted_coefficients]
+        # products near 1e300 may overflow, in both forms
+        with np.errstate(over="ignore"), mock.patch.object(mcsup, "_row_sups", _not_dense):
+            for coefficients in samplers:
+                for rows in (1, 7, 218):
+                    coeffs = coefficients(rng, rows, n)
+                    got = row_sups(coeffs)
+                    assert got.tobytes() == (coeffs @ pts.T).max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("kind", _BLOCKED[:5])
+    def test_estimates_have_the_dense_readers_bits_at_any_worker_count(self, kind):
+        # n=300: blocks of 218 rows divide neither a 4096-draw chunk nor the last 17
+        rng = np.random.default_rng(71)
+        pts = _axis_points(rng.integers(0, 300, 40), rng.standard_normal(40), 300)
+        pts[::9] = 0.0
+        pset, samples = PointSet(pts), 2 * 4096 + 17
+        with mock.patch.object(mcsup, "_axis_form", lambda points: None):
+            dense = _blocked_estimates(kind, pset, samples, 72)
+        with mock.patch.object(mcsup, "_row_sups", _not_dense):
+            for workers in (1, 3):
+                assert _blocked_estimates(kind, pset, samples, 72, workers) == dense
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [(1, np.inf), (1, -np.inf), (0, -np.inf), (2, np.inf), (0, np.nan)],
+        ids=["inf-off-the-points", "-inf-off-the-points", "-inf-under-positive",
+             "inf-under-negative", "nan"],
+    )
+    def test_a_nonfinite_coefficient_names_the_dense_draw(self, axis, value):
+        # a positive point on axis 0 and two negative ones on axis 2; axis 1 holds none,
+        # so every other row's maximum is finite
+        pset = PointSet(_axis_points([0, 2, 2], [1.5, -2.0, -0.5], 3))
+        coeffs = np.random.default_rng(73).standard_normal((600, 3))
+        coeffs[437, axis] = value
+        row_sups = _sups_reader(pset)
+        for rows in (lambda rng, count: row_sups(coeffs[:count]),
+                     lambda rng, count: (coeffs[:count] @ pset.points.T).max(axis=1)):
+            with pytest.raises(NonFiniteSampleError, match="^draw 437 produced"):
+                _mc_mean(rows, 600, RandomStream(0))
 
 
 class TestRearrange:
