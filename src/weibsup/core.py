@@ -193,15 +193,15 @@ def distance(a: Sequence[float], b: Sequence[float], metric: Metric) -> float:
 
 def point_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
     """Norm of each row of ``points`` under the metric's norm: the distance the
-    distance matrix gives between that row and the origin.  Each l2 row is scaled
-    by its own power of two, as that matrix would scale it, so a norm is inf only
-    where it overflows float64 itself."""
+    distance matrix gives between that row and the origin.  Each l2 row is unit
+    scaled on its own (``_unit_scaled`` per row), so a norm is inf only where it
+    overflows float64 itself, and short of underflow it has the unscaled bits."""
     x = np.asarray(points, dtype=np.float64)
     _check_coordinates(x)
     if metric.p != 2.0:
         return _row_norms(x.copy(), metric)
-    exp = np.frexp(np.abs(x).max(axis=1, initial=0.0))[1]
-    return np.ldexp(_row_norms(np.ldexp(x, -exp[:, None]), metric), exp)
+    scaled, exp = _unit_scaled(x, axis=-1)
+    return np.ldexp(_row_norms(scaled, metric), exp[..., 0])
 
 
 def _row_norms(x: np.ndarray, metric: Metric) -> np.ndarray:
@@ -214,14 +214,14 @@ def _row_norms(x: np.ndarray, metric: Metric) -> np.ndarray:
     return np.sum(np.power(np.abs(x, out=x), metric.p, out=x), axis=-1) ** (1.0 / metric.p)
 
 
-def _unit_scaled(points: np.ndarray) -> tuple[np.ndarray, int]:
-    """The points times 2^-e, with e chosen so the largest |coordinate| lies in
-    [1/2, 1), and e.  No squared difference or l2 norm of the scaled points
-    overflows, and short of underflow, one computed from them is the unscaled
-    one times 2^-e exactly, wherever the unscaled one is finite."""
-    pts = np.asarray(points, dtype=np.float64)
-    exp = int(np.frexp(np.abs(pts).max())[1]) if pts.size else 0
-    return np.ldexp(pts, -exp), exp
+def _unit_scaled(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x times 2^-e, and e, which puts the largest |entry| of x, or of each slice
+    along ``axis``, in [1/2, 1) (e is kept as a length-1 axis, so it broadcasts).
+    No square, l2 norm or sum of the scaled entries overflows, and short of
+    underflow one computed from them is the unscaled one times 2^-e exactly."""
+    x = np.asarray(x, dtype=np.float64)
+    exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))[1]
+    return np.ldexp(x, -exp), exp
 
 
 def _axis_form(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

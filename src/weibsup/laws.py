@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, _power
+from .core import Metric, RandomStream, _power, point_norms
 
 __all__ = [
     "QuadratureError",
@@ -148,9 +148,8 @@ def sup_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
         raise ValueError(f"moment order must be >= 2, got {p}")
     if not 0.0 < r <= 2.0:
         raise ValueError(f"r must lie in (0, 2], got {r}")
-    tv = np.asarray(t, dtype=np.float64)
-    l2 = float(np.sqrt(np.sum(tv * tv)))
-    linf = float(np.max(np.abs(tv))) if tv.size else 0.0
+    tv = np.asarray(t, dtype=np.float64).reshape(1, -1)
+    l2, linf = (float(point_norms(tv, metric)[0]) for metric in (Metric.l2(), Metric.linf()))
     value = math.sqrt(p) * l2 + _power(p, 1.0 / r, f"p^(1/r) at r={r}, p={p}") * linf
     return MomentFunctional(p=p, value=value, kind="sup_norm_bound")
 
@@ -167,7 +166,7 @@ def lp_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
         raise ValueError(f"r must lie in (0, 2], got {r}")
     tv = np.asarray(t, dtype=np.float64)
     lp = float(np.sum(np.abs(tv) ** p) ** (1.0 / p))
-    l2 = float(np.sqrt(np.sum(tv * tv)))
+    l2 = float(point_norms(tv.reshape(1, -1), Metric.l2())[0])
     value = exact_abs_moment(r, p) ** (1.0 / p) * lp + math.sqrt(p) * math.sqrt(
         exact_abs_moment(r, 2.0)
     ) * l2

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PointSet, RandomStream, _axis_form, _ordered_map
+from .core import PointSet, RandomStream, _axis_form, _ordered_map, _unit_scaled
 from .laws import _flip_signs, abs_weibull, conjugate_exponent, symmetric_weibull
 
 __all__ = [
@@ -140,9 +140,11 @@ def _mc_mean(
     depend only on ``samples``, ``stream`` and ``width``, and per-chunk
     (count, sum, M2) are merged in chunk order with the Chan-Golub-LeVeque
     update, so the result does not depend on ``workers`` and the variance
-    does not cancel when the mean dwarfs the spread.  The variance is carried
-    times 2^-2e, with 2^e above every chunk's largest |draw|, so no square
-    overflows; short of underflow the scaling is exact and changes no bit.
+    does not cancel when the mean dwarfs the spread.  Each chunk column is
+    unit scaled (``core._unit_scaled``) before its sum and M2 are taken, and
+    the merge rescales both to one 2^top above every |draw| of the column:
+    the mean is fsum of the rescaled sums over ``samples``, times 2^top.  So
+    no sum or square overflows, and short of underflow no bit changes.
 
     Draws of shape (count, K) are K columns, merged in one array pass: the
     mean and stderr are then arrays of K entries, entry k with the bits a
@@ -167,26 +169,25 @@ def _mc_mean(
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NonFiniteSampleError(f"draw {start + bad} produced a non-finite value")
-        exp = np.frexp(np.abs(cols).max(axis=1))[1]
-        scaled = np.ldexp(cols, -exp[:, None])
+        scaled, exp = _unit_scaled(cols, axis=1)
         part = scaled.sum(axis=1)
         chunk_m2 = np.square(scaled - (part / size)[:, None]).sum(axis=1)
-        return vals.shape[1:], size, cols.sum(axis=1), exp, part, chunk_m2
+        return vals.shape[1:], size, exp[:, 0], part, chunk_m2
 
     partials = _ordered_map(run_chunk, range(-(-samples // CHUNK_SIZE)), workers)
     shape = partials[0][0]
-    _, sizes, sums, exps, parts, m2s = zip(*partials)
+    _, sizes, exps, parts, m2s = zip(*partials)
     top = np.max(exps, axis=0)
+    # every chunk's sums and M2s times 2^-top and 2^-2top, as (chunks, K) arrays
+    parts, m2s = np.ldexp(parts, exps - top), np.ldexp(m2s, 2 * (exps - top))
     count, run_mean, m2 = 0, 0.0, 0.0
-    for size, exp, part, chunk_m2 in zip(sizes, exps, parts, m2s):
-        # the chunk's sums and M2s times 2^-top and 2^-2top, every column at once
-        part, chunk_m2 = np.ldexp(part, exp - top), np.ldexp(chunk_m2, 2 * (exp - top))
+    for size, part, chunk_m2 in zip(sizes, parts, m2s):
         merged = count + size
         delta = part / size - run_mean
         run_mean += delta * size / merged
         m2 += chunk_m2 + delta * delta * count * size / merged
         count = merged
-    means = np.array([math.fsum(col) for col in zip(*sums)]) / samples
+    means = np.ldexp(np.array([math.fsum(col) for col in parts.T]) / samples, top)
     stderrs = np.ldexp(np.sqrt(m2 / (samples - 1) / samples), top)
     if not shape:
         return float(means[0]), float(stderrs[0])
@@ -194,15 +195,16 @@ def _mc_mean(
 
 
 def _row_sups(coeffs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
-    """Each coefficient row's maximum over the points (one ``_mc_mean`` block)."""
-    return (coeffs @ points_t).max(axis=1)
+    """Each coefficient row's maximum over the points (one ``_mc_mean`` block), plus
+    0.0, so a zero maximum reads +0 where BLAS rounds an underflowing product to -0."""
+    return (coeffs @ points_t).max(axis=1) + 0.0
 
 
 def _axis_row_sups(coeffs: np.ndarray, axes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``_row_sups`` of points on coordinate axes (``core._axis_form``): each row's
     max over i of values[i] * coeffs[:, axes[i]], the one nonzero term of each dot
-    product, plus 0.0 so that a -0 reads as the +0 the product sums to.  A row with
-    a non-finite coefficient, where the product's inf * 0 gives NaN, gives NaN."""
+    product, plus 0.0 as there.  A row with a non-finite coefficient, where the
+    product's inf * 0 gives NaN, gives NaN."""
     prods = coeffs.take(axes, axis=1)
     prods *= values
     sups = prods.max(axis=1)
@@ -214,8 +216,7 @@ def _axis_row_sups(coeffs: np.ndarray, axes: np.ndarray, values: np.ndarray) -> 
 def _sups_reader(pset: PointSet) -> Callable[[np.ndarray], np.ndarray]:
     """Coefficient rows -> their maxima over the set's points: ``_axis_row_sups``,
     O(m) per row, when every point lies on a coordinate axis, else ``_row_sups``,
-    O(m n) per row.  Both give the same bits on an axis set, where no product
-    underflows to zero."""
+    O(m n) per row.  Both give the same bits on an axis set."""
     axis = _axis_form(pset.points)
     if axis is not None:
         return lambda coeffs: _axis_row_sups(coeffs, *axis)

@@ -416,6 +416,43 @@ def test_simulate_near_1e160_reports_a_finite_stderr(tmp_path, monkeypatch, caps
     assert 0.0 < doc["stderr"] < doc["mean"] < math.inf
 
 
+_EDGE_CONFIG = {
+    "name": "main_bound",
+    "families": [{"kind": "gaussian_cloud", "n": 4, "m": 16, "scale": 1e305, "seed": 3}],
+    "r_values": [1.0], "samples": 5000, "num_perms": 2, "seed": 7, "out": "report.json",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--family", "gaussian_cloud(2,3,2e304)", "--samples", "20000"],
+        ["simulate", "--family", "gaussian_cloud(2,3,1e305)", "--samples", "5000"],
+        ["gamma", "--family", "gaussian_cloud(2,64,1e306)", "--samples", "2000"],
+        ["moments", "--t", "3e101", "--r", "1", "--p", "3", "--samples", "5000"],
+        ["verify", "--config", "edge.json"],
+    ],
+    ids=["simulate-2e304", "simulate-1e305", "gamma-1e306", "moments-3e101", "verify-1e305"],
+)
+def test_draws_near_the_float64_edge_give_finite_reports(tmp_path, monkeypatch, capsys, argv):
+    # every draw and mean is finite, though a sum of 4096 draws overflows float64
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edge.json").write_text(json.dumps(_EDGE_CONFIG))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    text = (tmp_path / "report.json").read_text() if argv[0] == "verify" else out
+    assert all(map(math.isfinite, _printed_numbers(argv[0], text, tmp_path)))
+    if argv[0] == "verify":
+        assert [rep["flags"]["window"] for rep in json.loads(text)["reports"]] == ["ok"]
+    if argv[0] == "moments":
+        assert main(["moments", "--t", "3e100", *argv[3:]]) == 0
+        tenth = json.loads(capsys.readouterr().out)[0]["quantities"]["mc_norm"]
+        assert json.loads(text)[0]["quantities"]["mc_norm"] == pytest.approx(10 * tenth, rel=1e-12)
+
+
 def test_overflowing_norm_prints_no_warning(tmp_path, monkeypatch, capsys):
     # one point: every gamma is 0, and no norm may overflow on the way there
     monkeypatch.chdir(tmp_path)

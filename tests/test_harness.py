@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weibsup import harness
 from weibsup.cli import main as cli_main
@@ -332,6 +334,38 @@ class TestVerifyR1Bound:
         )
         with pytest.raises(ConfigError):
             verify_r1_bound(cfg)
+
+
+def _scaled_grid(name, scale):
+    """A small config of the experiment, on two gaussian_cloud families of the scale."""
+    families = tuple(
+        InstanceFamily("gaussian_cloud", seed=seed, n=n, m=m, scale=scale)
+        for seed, n, m in ((21, 3, 6), (22, 5, 4))
+    )
+    return RunConfig(name=name, families=families, r_values=(1.0, 1.5), samples=300,
+                     num_perms=2, seed=23)
+
+
+class TestScaleEquivariance:
+    """Both sides of every bound are linear in T, so at 2^k T each quantity and
+    stderr is 2^k times its value at T, bit for bit, and each ratio and flag is
+    the same, up to where the coordinates meet the float64 edge."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(-1000, 1015))
+    @example(k=1015)
+    @example(k=-1000)
+    def test_bound_reports_scale_with_the_set(self, k):
+        for name, verify in (("main_bound", verify_main_bound), ("r1_bound", verify_r1_bound)):
+            plain = verify(_scaled_grid(name, 1.0))
+            scaled = verify(_scaled_grid(name, math.ldexp(1.0, k)))
+            for a, b in zip(plain, scaled, strict=True):
+                # the spread is a ratio of two permutations' gamma_2
+                assert b.quantities.pop("epi_gamma2_spread") == a.quantities.pop(
+                    "epi_gamma2_spread")
+                assert b.quantities == {key: math.ldexp(v, k) for key, v in a.quantities.items()}
+                assert b.stderrs == {key: math.ldexp(v, k) for key, v in a.stderrs.items()}
+                assert b.ratios == a.ratios and b.flags == a.flags
 
 
 class TestCounterexample:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -228,6 +228,37 @@ class TestMomentFunctionals:
             lp_norm_moment_bound([1.0], p=1.0, r=1.0)
         with pytest.raises(ValueError):
             MomentFunctional(p=1.0, value=0.0, kind="lp_norm_bound")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        powers=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
+        p=st.floats(min_value=2.0, max_value=32.0),
+        r=st.floats(min_value=0.5, max_value=2.0),
+    )
+    @example(powers=[200.0], p=2.0, r=1.0)
+    @example(powers=[-200.0], p=2.0, r=1.0)
+    def test_sup_norm_terms_are_the_norms_of_t_at_any_scale(self, powers, p, r):
+        t = np.array([(-1.0) ** k * 10.0**e for k, e in enumerate(powers)])
+        # the hand-written norms, of t unit scaled by a power of two and scaled back
+        exp = math.frexp(np.abs(t).max())[1]
+        unit = np.ldexp(t, -exp)
+        l2 = math.ldexp(float(np.sqrt(np.sum(unit * unit))), exp)
+        linf = float(np.max(np.abs(t)))
+        if 1e-150 < np.abs(t).min() and linf < 1e150:  # where they need no scaling
+            assert l2 == float(np.sqrt(np.sum(t * t)))
+        expected = math.sqrt(p) * l2 + p ** (1.0 / r) * linf
+        assert sup_norm_moment_bound(t, p, r).value == expected
+
+    def test_lp_norm_keeps_its_l2_term_where_squares_underflow(self):
+        # the lp term's squares underflow to 0, the l2 term's do not:
+        # sqrt(p) * sqrt(Gamma(2)) * ||t||_2 = sqrt(2) * sqrt(2) * 1e-200
+        mf = lp_norm_moment_bound([1e-200, 1e-200], p=2.0, r=2.0)
+        assert mf.value == pytest.approx(2e-200, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("bound", [sup_norm_moment_bound, lp_norm_moment_bound])
+    def test_empty_t_is_rejected(self, bound):
+        with pytest.raises(ValueError, match="^points need at least one coordinate$"):
+            bound([], p=2.0, r=1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(

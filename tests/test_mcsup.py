@@ -443,6 +443,46 @@ class TestAxisSets:
             with pytest.raises(NonFiniteSampleError, match="^draw 437 produced"):
                 _mc_mean(rows, 600, RandomStream(0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.sampled_from([1, 2, 7, 64, 218]), m=st.integers(1, 40),
+           n=st.sampled_from([1, 2, 3, 8, 33, 300]), seed=st.integers(0, 2**32 - 1))
+    def test_readers_agree_on_products_that_underflow_to_zero(self, rows, m, n, seed):
+        # values from 0 to 1e-310 on the axes and negative coefficients below 1e-15:
+        # every product underflows, so every dot product and maximum is a zero,
+        # which BLAS may round to -0
+        rng = np.random.default_rng(seed)
+        values = rng.choice([0.0, 5e-324, 1e-320, 1e-310], m)
+        pts = _axis_points(rng.integers(0, n, m), values, n)
+        coeffs = -rng.uniform(0.0, 1e-15, (rows, n))
+        dense = _row_sups(coeffs, np.ascontiguousarray(pts.T))
+        assert dense.tobytes() == _sups_reader(PointSet(pts))(coeffs).tobytes()
+        assert dense.tobytes() == np.zeros(rows).tobytes()
+
+
+class TestScaleEquivariance:
+    """At 2^k T every draw is 2^k times the draw at T, so every mean and stderr
+    is 2^k times its value at T, bit for bit, up to the float64 edge."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.integers(-1000, 1015))
+    @example(k=1015)
+    @example(k=-1000)
+    def test_estimates_scale_with_the_set(self, k):
+        pts = np.random.default_rng(81).standard_normal((5, 3))
+        a = np.array([1.5, 1.0, 0.5])
+        samples = 4096 + 300  # two chunks
+
+        def estimates(points):
+            pset, stream = PointSet(points), RandomStream(82)
+            drivers = (Driver.gaussian(), Driver.rademacher(), Driver.weibull(1.0),
+                       Driver.cond_gaussian(1.0))
+            return [esup_mc(pset, d, samples, stream) for d in drivers] + esup_permuted_prefixes(
+                pset, a, (3, 2), samples, stream)
+
+        for plain, scaled in zip(estimates(pts), estimates(np.ldexp(pts, k)), strict=True):
+            assert scaled.mean == math.ldexp(plain.mean, k)
+            assert scaled.stderr == math.ldexp(plain.stderr, k)
+
 
 class TestRearrange:
     def test_basic(self):
