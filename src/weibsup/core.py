@@ -257,7 +257,7 @@ def _axis_distance_matrix(axes: np.ndarray, values: np.ndarray, metric: Metric) 
     l2 = metric.p == 2.0
     term, cross = (np.square, np.add) if l2 else (np.abs, np.maximum)
     terms = term(v)
-    rows = max(1, 2**16 // max(1, m))
+    rows = max(1, min(m, 2**16 // max(1, m)))
     out, same_buf = np.empty((m, m)), np.empty(rows * m)
     for i0 in range(0, m, rows):
         block = out[i0:i0 + rows]

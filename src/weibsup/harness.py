@@ -19,7 +19,15 @@ from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, _check_workers, _power, load_points_csv
+from .core import (
+    Metric,
+    PointSet,
+    RandomStream,
+    _check_workers,
+    _power,
+    _unit_scaled,
+    load_points_csv,
+)
 from .gamma import (
     PartitionTree,
     build_greedy_tree,
@@ -617,37 +625,39 @@ def moment_check(
     for p in p_list:
         if not 2.0 <= p < math.inf:
             raise ValueError(f"moment orders must be finite and >= 2, got {p}")
+    # the p-norm and both bounds are homogeneous in t: a t below the unit, whose
+    # p-th powers may underflow, is taken times 2^-e to put its largest |t_k| in
+    # [1/2, 1), and they are scaled back; a larger t is taken as it is, so a draw
+    # that overflows float64 stays an error
+    exp = min(_unit_scaled(tv)[1].item(), 0)
+    tu = np.ldexp(tv, -exp)
     reports: list[BoundReport] = []
     for idx, p in enumerate(p_list):
 
         def block_powers(rng: np.random.Generator, rows: int) -> np.ndarray:
-            x = Driver.weibull(r).coefficients(rng, rows, tv.size)
-            return np.abs(x @ tv) ** p
+            x = Driver.weibull(r).coefficients(rng, rows, tu.size)
+            return np.abs(x @ tu) ** p
 
-        mean_pow, se_pow = _mc_mean(block_powers, samples, stream.child(idx), workers, tv.size)
-        if mean_pow == 0.0:
-            mc_norm, mc_se = 0.0, 0.0
-        else:
-            mc_norm = mean_pow ** (1.0 / p)
-            mc_se = se_pow * mc_norm / (p * mean_pow)
-            if math.isinf(se_pow * mc_norm) or math.isinf(p * mean_pow):
-                mc_se = mc_norm * (se_pow / mean_pow) / p  # the same ratio, in range
-        cor = sup_norm_moment_bound(tv, p, r).value
-        lp_bound = lp_norm_moment_bound(tv, p, r).value
+        mean_pow, se_pow = _mc_mean(block_powers, samples, stream.child(idx), workers, tu.size)
+        norm = mean_pow ** (1.0 / p)
+        cor = sup_norm_moment_bound(tu, p, r).value
+        lp_bound = lp_norm_moment_bound(tu, p, r).value
+        # the stderr's ratio to the norm is in range wherever the two are
+        mc_se = norm * (se_pow / mean_pow) / p if mean_pow else 0.0
         reports.append(
             BoundReport(
                 instance=f"vector(dim={tv.size})",
                 r=r,
                 quantities={
                     "p": float(p),
-                    "mc_norm": mc_norm,
-                    "sup_norm_bound": cor,
-                    "lp_norm_bound": lp_bound,
+                    "mc_norm": math.ldexp(norm, exp),
+                    "sup_norm_bound": math.ldexp(cor, exp),
+                    "lp_norm_bound": math.ldexp(lp_bound, exp),
                 },
-                stderrs={"mc_norm": mc_se},
+                stderrs={"mc_norm": math.ldexp(mc_se, exp)},
                 ratios={
-                    "mc_norm_over_sup_norm_bound": _ratio(mc_norm, cor),
-                    "mc_norm_over_lp_norm_bound": _ratio(mc_norm, lp_bound),
+                    "mc_norm_over_sup_norm_bound": _ratio(norm, cor),
+                    "mc_norm_over_lp_norm_bound": _ratio(norm, lp_bound),
                 },
                 flags={"window": "recorded"},
                 seed=stream.seed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Metric, RandomStream, _power, point_norms
+from .core import Metric, RandomStream, _power, _unit_scaled, point_norms
 
 __all__ = [
     "QuadratureError",
@@ -165,7 +165,9 @@ def lp_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
     if not 0.0 < r <= 2.0:
         raise ValueError(f"r must lie in (0, 2], got {r}")
     tv = np.asarray(t, dtype=np.float64)
-    lp = float(np.sum(np.abs(tv) ** p) ** (1.0 / p))
+    # ||t||_p of t scaled down by 2^e where its p-th powers could overflow, scaled back
+    exp = max(_unit_scaled(tv)[1].item(), 0)
+    lp = float(np.ldexp(np.sum(np.abs(np.ldexp(tv, -exp)) ** p) ** (1.0 / p), exp))
     l2 = float(point_norms(tv.reshape(1, -1), Metric.l2())[0])
     value = exact_abs_moment(r, p) ** (1.0 / p) * lp + math.sqrt(p) * math.sqrt(
         exact_abs_moment(r, 2.0)

@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, _weighted_l2_matrices
+from .core import Metric, PointSet, RandomStream, _axis_form, _weighted_l2_matrices
 from .gamma import (
     _distance_matrix,
     build_greedy_tree,
@@ -98,12 +98,15 @@ def epi_gamma2(
     estimator substreams are per-permutation.  Returns the mean and the
     max/min spread across permutations (1 when all values are zero).
 
-    The tree methods read every T_pi's l2 matrix from one pass over the
-    squared coordinate differences of ``pset``: |u - v|^2 of T_pi is
+    On a dense set the tree methods read every T_pi's l2 matrix from one pass
+    over the squared coordinate differences of ``pset``: |u - v|^2 of T_pi is
     sum_c a_c (t_c - t'_c)^2 with a_{pi(k)} = w_k^2.  These matrices (all
     alive at once, num_perms * m^2 * 8 bytes) may differ from the ones
-    computed from T_pi's own points in the last bits.  Permutations run on the
-    calling thread; ``workers`` threads only the proxy's Monte Carlo chunks.
+    computed from T_pi's own points in the last bits.  Every T_pi of an axis
+    set (see ``core._axis_form``) is an axis set, point i being v_i * w_k on
+    axis k where pi(k) = axis_i, so each T_pi builds its own closed-form matrix
+    with its tree, O(m^2), and only that one is alive.  Permutations run on
+    the calling thread; ``workers`` threads only the proxy's Monte Carlo chunks.
     """
     if num_perms < 1:
         raise ValueError(f"need num_perms >= 1, got {num_perms}")
@@ -112,20 +115,23 @@ def epi_gamma2(
     rng = stream.generator()
     perms = [rng.permutation(pset.dim) for _ in range(num_perms)]
     l2 = Metric.l2()
-    if gamma_method != "gaussian_proxy":  # the proxy reads no distance matrix
+    matrices = None
+    # the proxy reads no distance matrix, and an axis set's T_pi build their own
+    if gamma_method != "gaussian_proxy" and _axis_form(pset.points) is None:
         w = weights(pset.dim, s).w
         sq_weights = np.empty((num_perms, pset.dim))
         for a, perm in zip(sq_weights, perms):
             a[perm] = w * w
         matrices = _weighted_l2_matrices(pset.points, sq_weights)
-        builder = build_greedy_tree if gamma_method == "greedy_upper" else exact_small_tree
+    builder = build_greedy_tree if gamma_method == "greedy_upper" else exact_small_tree
     values = []
     for i, perm in enumerate(perms):
         t_pi = apply_permuted_weights(pset, perm, s)
         if gamma_method == "gaussian_proxy":
             values.append(gaussian_gamma2_proxy(t_pi, samples, stream.child(i), workers).value)
         else:
-            _distance_matrix(t_pi, l2, matrices[i])
+            if matrices is not None:
+                _distance_matrix(t_pi, l2, matrices[i])
             values.append(gamma_from_tree(builder(t_pi, l2), 2.0, l2).value)
     mean = math.fsum(values) / num_perms
     vmax, vmin = max(values), min(values)

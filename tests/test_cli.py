@@ -702,6 +702,9 @@ def _printed_numbers(command, out, tmp_path):
 # (log(n/k))^(1/s) overflows at s = 1e-9
 @example(case=(["transform", "--family", "scaled_basis(3,harmonic)", "--r=1e-09",
                 "--out=out.csv"], None))
+# t's p-th powers underflow, or overflow, though the p-norm of <t, X> does neither
+@example(case=(["moments", "--t=1e-120", "--r=1", "--p=3", "--samples=2000"], None))
+@example(case=(["moments", "--t=1e120", "--r=1", "--p=3", "--samples=2000"], None))
 # the stderr of E|<t, X>|^2 times the norm overflows, though their ratio to the mean does not
 @example(case=(["moments", "--t=4.191960755140169e+95", "--r=0.1", "--p=2.0", "--samples=100"],
                None))

@@ -555,6 +555,22 @@ class TestMomentCheck:
         with pytest.raises(ValueError):
             moment_check([1.0], 1.0, [1.5], 100, RandomStream(0))
 
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(-1000, 0))
+    @example(k=-1000)
+    def test_scales_with_t_below_the_unit(self, k):
+        # the p-norm and both bounds are homogeneous in t, and a t below the unit
+        # is scaled up before its p-th powers, so none of them underflows
+        t = np.array([0.15, -0.85, 0.55])
+        orders = [2.0, 3.0, 7.5]
+        plain = moment_check(t, 1.0, orders, 2000, RandomStream(14))
+        scaled = moment_check(np.ldexp(t, k), 1.0, orders, 2000, RandomStream(14))
+        for a, b in zip(plain, scaled, strict=True):
+            assert b.quantities.pop("p") == a.quantities.pop("p")
+            assert b.quantities == {key: math.ldexp(v, k) for key, v in a.quantities.items()}
+            assert b.stderrs == {key: math.ldexp(v, k) for key, v in a.stderrs.items()}
+            assert b.ratios == a.ratios
+
 
 class TestRunAndPersistence:
     def write_cfg(self, tmp_path, data, name="cfg.json"):

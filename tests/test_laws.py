@@ -255,6 +255,13 @@ class TestMomentFunctionals:
         mf = lp_norm_moment_bound([1e-200, 1e-200], p=2.0, r=2.0)
         assert mf.value == pytest.approx(2e-200, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("k", [400, 1000])
+    def test_lp_norm_scales_where_the_powers_overflow(self, k):
+        # (2^400)^3 overflows float64; ||t||_3 does not
+        t = np.array([1.0, -0.5, 0.25])
+        mf = lp_norm_moment_bound(np.ldexp(t, k), p=3.0, r=1.0)
+        assert mf.value == math.ldexp(lp_norm_moment_bound(t, p=3.0, r=1.0).value, k)
+
     @pytest.mark.parametrize("bound", [sup_norm_moment_bound, lp_norm_moment_bound])
     def test_empty_t_is_rejected(self, bound):
         with pytest.raises(ValueError, match="^points need at least one coordinate$"):

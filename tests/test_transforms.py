@@ -1,14 +1,24 @@
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from weibsup import transforms
-from weibsup.core import Metric, PointSet, RandomStream
+from weibsup.core import (
+    Metric,
+    PointSet,
+    RandomStream,
+    _weighted_l2_matrices,
+    pairwise_distance_matrix,
+)
 from weibsup.gamma import gamma_exact_small
+from weibsup.harness import InstanceFamily
 from weibsup.transforms import (
     apply_permuted_weights,
     epi_gamma2,
@@ -198,3 +208,91 @@ class TestEpiGamma2:
         expected = draws / 6.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.999, 5)
+
+
+def axis_sets() -> list[PointSet]:
+    """Point sets whose points each have at most one nonzero coordinate."""
+    shared = [[2.0, 0, 0, 0], [-3.0, 0, 0, 0], [0, 1.5, 0, 0], [0, -1.5, 0, 0],
+              [0, 0, 0, -0.5], [0, 0, 0.25, 0], [0.75, 0, 0, 0]]
+    return [
+        InstanceFamily.from_spec("scaled_basis(12,sqrt)").materialize(),
+        PointSet(shared),  # signed values, several on one axis
+        PointSet(shared + [[0.0] * 4]),  # and a zero point
+        PointSet(np.array(shared) * 1e300),
+        PointSet(np.array(shared) * 1e-300),
+    ]
+
+
+class TestAxisSetPermutations:
+    """Every T_pi of an axis set is an axis set, read through its own closed-form matrix."""
+
+    @staticmethod
+    def read_matrices(monkeypatch) -> list[np.ndarray]:
+        read: list[np.ndarray] = []
+        original = transforms.gamma_from_tree
+
+        def recording(tree, alpha, metric):
+            value = original(tree, alpha, metric)
+            read.append(tree.pointset._distances[metric])
+            return value
+
+        monkeypatch.setattr(transforms, "gamma_from_tree", recording)
+        return read
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_each_matrix_is_that_of_its_own_points(self, s, monkeypatch):
+        read = self.read_matrices(monkeypatch)
+        eps = np.finfo(float).eps
+        for pset in axis_sets():
+            n, k = pset.dim, 3
+            read.clear()
+            epi_gamma2(pset, s, k, "greedy_upper", RandomStream(41))
+            rng = RandomStream(41).generator()
+            perms = [rng.permutation(n) for _ in range(k)]
+            sq_weights = np.zeros((k, n))
+            for a, perm in zip(sq_weights, perms):
+                a[perm] = weights(n, s).w ** 2
+            passes = _weighted_l2_matrices(pset.points, sq_weights)
+            assert len(read) == k
+            for mat, perm, shared in zip(read, perms, passes):
+                own = pairwise_distance_matrix(apply_permuted_weights(pset, perm, s).points, L2)
+                assert mat.tobytes() == own.tobytes()
+                assert np.all(np.abs(mat - shared) <= (n + 2) * eps * shared)
+
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    def test_no_shared_pass(self, method, monkeypatch):
+        def refused(points, sq_weights):
+            raise AssertionError("the shared pass walked an axis set")
+
+        monkeypatch.setattr(transforms, "_weighted_l2_matrices", refused)
+        read = self.read_matrices(monkeypatch)
+        pset = axis_sets()[2]  # 8 points, as exact_small allows
+        out = epi_gamma2(pset, 1.0, 4, method, RandomStream(42))
+        assert out.mean > 0.0 and len(read) == 4
+
+    def test_one_matrix_alive_at_a_time(self):
+        # the shared pass would keep all 20 matrices, 10 MiB; what remains is one
+        # T_pi's m x n points (n = m here) and their copy, its matrix and row buffer
+        m = 256
+        pset = InstanceFamily.from_spec(f"scaled_basis({m},sqrt)").materialize()
+        tracemalloc.start()
+        try:
+            epi_gamma2(pset, 2.0, 20, "greedy_upper", RandomStream(43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * m * m * 8
+
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(-1000, 1015))
+    @example(k=1015)
+    @example(k=-1000)
+    def test_scales_exactly_by_a_power_of_two(self, k):
+        for pset in axis_sets()[:3]:
+            for method in ("greedy_upper", "exact_small"):
+                if method == "exact_small" and pset.m > 8:
+                    continue
+                plain = epi_gamma2(pset, 2.0, 4, method, RandomStream(44))
+                scaled = epi_gamma2(PointSet(np.ldexp(pset.points, k)), 2.0, 4, method,
+                                    RandomStream(44))
+                assert scaled == (math.ldexp(plain.mean, k), plain.spread)
