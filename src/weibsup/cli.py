@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import Metric, PointSet, RandomStream, load_points_csv, write_points_csv
@@ -16,7 +15,9 @@ from .gamma import (
     sudakov_lower,
 )
 from .harness import (
+    DEFAULT_SAMPLES,
     InstanceFamily,
+    _json_text,
     counterexample_run,
     moment_check,
     run,
@@ -24,14 +25,8 @@ from .harness import (
     write_reports_json,
 )
 from .laws import conjugate_exponent
-from .mcsup import Driver, NonFiniteSampleError, esup_mc
+from .mcsup import _DRIVER_KINDS, Driver, NonFiniteSampleError, esup_mc
 from .transforms import apply_permuted_weights, ts_transform
-
-
-def _add_set_source(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--set", help="CSV file with one point per row")
-    group.add_argument("--family", help="family spec, e.g. gaussian_cloud(16,64,1.0)")
 
 
 def _load_set(args: argparse.Namespace) -> PointSet:
@@ -53,7 +48,8 @@ def _flatten(doc, prefix: str = "") -> dict:
 
 
 def _emit(doc, args: argparse.Namespace) -> None:
-    if getattr(args, "format", "json") == "csv" and isinstance(doc, dict):
+    """``doc`` as JSON, or a dict as one flattened CSV row, to --out or stdout."""
+    if args.format == "csv":
         import csv
         import io
 
@@ -65,13 +61,19 @@ def _emit(doc, args: argparse.Namespace) -> None:
         writer.writerow([flat[k] for k in keys])
         text = buf.getvalue()
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+        text = _json_text(doc)
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
+
+
+def _emit_reports_csv(reports, args: argparse.Namespace) -> None:
+    path = args.out or f"{args.command}.csv"
+    write_reports_csv(reports, path)
+    print(f"wrote {path}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -139,8 +141,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     n_list = [int(x) for x in args.n.split(",")]
     reports = counterexample_run(args.r, n_list)
     if args.format == "csv":
-        write_reports_csv(reports, args.out or "counterexample.csv")
-        print(f"wrote {args.out or 'counterexample.csv'}")
+        _emit_reports_csv(reports, args)
     elif args.out:
         write_reports_json(reports, args.out, {"r": args.r, "n_list": n_list})
         print(f"wrote {args.out}")
@@ -159,11 +160,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     p_list = [float(x) for x in args.p.split(",")]
     reports = moment_check(t, args.r, p_list, args.samples, RandomStream(args.seed))
     if args.format == "csv":
-        write_reports_csv(reports, args.out or "moments.csv")
-        print(f"wrote {args.out or 'moments.csv'}")
+        _emit_reports_csv(reports, args)
     else:
-        doc = [rep.to_dict() for rep in reports]
-        _emit(doc, args)
+        _emit([rep.to_dict() for rep in reports], args)
     return 0
 
 
@@ -175,63 +174,61 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo expected supremum for one set")
-    _add_set_source(p_sim)
-    p_sim.add_argument("--driver", default="gaussian",
-                       choices=["gaussian", "rademacher", "weibull", "cond_gaussian"])
+    # the options several subcommands share, each declared once, as parent parsers
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--set", help="CSV file with one point per row")
+    group.add_argument("--family", help="family spec, e.g. gaussian_cloud(16,64,1.0)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[seed])
+    monte_carlo.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "csv"], default="json")
+    output.add_argument("--out")
+
+    p_sim = sub.add_parser("simulate", help="Monte Carlo expected supremum for one set",
+                           parents=[source, monte_carlo, workers, output])
+    p_sim.add_argument("--driver", default=_DRIVER_KINDS[0], choices=_DRIVER_KINDS)
     p_sim.add_argument("--r", type=float, default=None)
-    p_sim.add_argument("--samples", type=int, default=20000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--format", choices=["json", "csv"], default="json")
-    p_sim.add_argument("--out")
     p_sim.set_defaults(fn=_cmd_simulate)
 
-    p_gamma = sub.add_parser("gamma", help="all gamma methods for one set")
-    _add_set_source(p_gamma)
+    p_gamma = sub.add_parser("gamma", help="all gamma methods for one set",
+                             parents=[source, monte_carlo, workers, output])
     p_gamma.add_argument("--alpha", type=float, default=2.0)
     p_gamma.add_argument("--metric", choices=["l2", "linf"], default="l2")
-    p_gamma.add_argument("--samples", type=int, default=20000)
-    p_gamma.add_argument("--seed", type=int, default=0)
-    p_gamma.add_argument("--workers", type=int, default=1)
-    p_gamma.add_argument("--format", choices=["json", "csv"], default="json")
-    p_gamma.add_argument("--out")
     p_gamma.set_defaults(fn=_cmd_gamma)
 
-    p_tr = sub.add_parser("transform", help="emit T_pi or T^s as CSV")
-    _add_set_source(p_tr)
+    p_tr = sub.add_parser("transform", help="emit T_pi or T^s as CSV", parents=[source, seed])
     group = p_tr.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=float, help="driver exponent; s is derived")
     group.add_argument("--s", type=float, help="weight exponent directly")
     p_tr.add_argument("--perm", choices=["identity", "random"], default="identity")
-    p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--out", required=True)
     p_tr.set_defaults(fn=_cmd_transform)
 
-    p_ver = sub.add_parser("verify", help="run a JSON RunConfig")
+    # verify's --samples, --seed and --out override the config's values only when given
+    p_ver = sub.add_parser("verify", help="run a JSON RunConfig", parents=[workers])
     p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--workers", type=int, default=1)
     p_ver.add_argument("--samples", type=int, default=None, help="override config samples")
     p_ver.add_argument("--perms", type=int, default=None, help="override config num_perms")
     p_ver.add_argument("--seed", type=int, default=None, help="override config seed")
     p_ver.add_argument("--out", default=None, help="override config output path")
     p_ver.set_defaults(fn=_cmd_verify)
 
-    p_ce = sub.add_parser("counterexample", help="closed-form lower-bound failure sweep")
+    p_ce = sub.add_parser("counterexample", help="closed-form lower-bound failure sweep",
+                          parents=[output])
     p_ce.add_argument("--r", type=float, required=True)
     p_ce.add_argument("--n", required=True, help="comma-separated powers of 2, >= 16")
-    p_ce.add_argument("--format", choices=["json", "csv"], default="json")
-    p_ce.add_argument("--out")
     p_ce.set_defaults(fn=_cmd_counterexample)
 
-    p_mom = sub.add_parser("moments", help="MC p-norms of one linear form vs bounds")
+    p_mom = sub.add_parser("moments", help="MC p-norms of one linear form vs bounds",
+                           parents=[monte_carlo, output])
     p_mom.add_argument("--t", required=True, help="comma-separated coefficients")
     p_mom.add_argument("--r", type=float, required=True)
     p_mom.add_argument("--p", required=True, help="comma-separated moment orders >= 2")
-    p_mom.add_argument("--samples", type=int, default=20000)
-    p_mom.add_argument("--seed", type=int, default=0)
-    p_mom.add_argument("--format", choices=["json", "csv"], default="json")
-    p_mom.add_argument("--out")
     p_mom.set_defaults(fn=_cmd_moments)
 
     args = parser.parse_args(argv)

@@ -175,15 +175,15 @@ class InstanceFamily:
                 raise ConfigError("csv_file needs a path")
 
     def descriptor(self) -> str:
-        if self.kind == "hypercube_subset":
-            core = f"hypercube_subset(n={self.n},m={self.m})"
-        elif self.kind == "gaussian_cloud":
-            core = f"gaussian_cloud(n={self.n},m={self.m},scale={self.scale:g})"
-        elif self.kind == "scaled_basis":
-            core = f"scaled_basis(n={self.n},decay={self.decay})"
-        else:
-            core = f"csv_file({self.path})"
-        return f"{core}#seed={self.seed}"
+        """``kind(key=value,...)#seed=N``, the kind's keys in spec order and a float as
+        ``:g``; a csv_file is ``csv_file(path)#seed=N``."""
+        if self.kind == "csv_file":
+            return f"csv_file({self.path})#seed={self.seed}"
+        spec = ",".join(
+            f"{key}={format(getattr(self, key), 'g' if _FAMILY_KEYS[key] is float else '')}"
+            for key in _FAMILY_KINDS[self.kind]
+        )
+        return f"{self.kind}({spec})#seed={self.seed}"
 
     def materialize(self) -> PointSet:
         if self.kind == "csv_file":
@@ -604,6 +604,14 @@ def truncation_check(cfg: RunConfig, theta: float, workers: int = 1) -> list[Bou
     return _grid_reports(_instance_grid(cfg), truncation_instance, cfg, workers)
 
 
+def _scaled_back(value: float, exp: int, name: str) -> float:
+    """value times 2^exp; a ValueError naming ``name`` where that overflows float64."""
+    try:
+        return math.ldexp(value, exp)
+    except OverflowError:
+        raise ValueError(f"{name} overflows float64") from None
+
+
 def moment_check(
     t: Sequence[float],
     r: float,
@@ -625,12 +633,11 @@ def moment_check(
     for p in p_list:
         if not 2.0 <= p < math.inf:
             raise ValueError(f"moment orders must be finite and >= 2, got {p}")
-    # the p-norm and both bounds are homogeneous in t: a t below the unit, whose
-    # p-th powers may underflow, is taken times 2^-e to put its largest |t_k| in
-    # [1/2, 1), and they are scaled back; a larger t is taken as it is, so a draw
-    # that overflows float64 stays an error
-    exp = min(_unit_scaled(tv)[1].item(), 0)
-    tu = np.ldexp(tv, -exp)
+    # the p-norm and both bounds are homogeneous in t: they are taken at t times the
+    # 2^-e that puts its largest |t_k| in [1/2, 1), where no p-th power of a draw
+    # underflows or overflows, and scaled back
+    tu, exp = _unit_scaled(tv)
+    exp = exp.item()
     reports: list[BoundReport] = []
     for idx, p in enumerate(p_list):
 
@@ -650,11 +657,11 @@ def moment_check(
                 r=r,
                 quantities={
                     "p": float(p),
-                    "mc_norm": math.ldexp(norm, exp),
-                    "sup_norm_bound": math.ldexp(cor, exp),
-                    "lp_norm_bound": math.ldexp(lp_bound, exp),
+                    "mc_norm": _scaled_back(norm, exp, f"mc_norm at p={p}"),
+                    "sup_norm_bound": _scaled_back(cor, exp, f"sup_norm_bound at p={p}"),
+                    "lp_norm_bound": _scaled_back(lp_bound, exp, f"lp_norm_bound at p={p}"),
                 },
-                stderrs={"mc_norm": math.ldexp(mc_se, exp)},
+                stderrs={"mc_norm": _scaled_back(mc_se, exp, f"the mc_norm stderr at p={p}")},
                 ratios={
                     "mc_norm_over_sup_norm_bound": _ratio(norm, cor),
                     "mc_norm_over_lp_norm_bound": _ratio(norm, lp_bound),
@@ -672,12 +679,13 @@ def _config_echo(cfg: RunConfig) -> dict[str, Any]:
     return echo | {"families": [fam.descriptor() for fam in cfg.families]}
 
 
-def reports_json_text(reports: Sequence[BoundReport], config: dict[str, Any] | None = None) -> str:
-    doc = {
-        "config": config,
-        "reports": [rep.to_dict() for rep in reports],
-    }
+def _json_text(doc: Any) -> str:
+    """The canonical JSON text of every report and CLI document."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reports_json_text(reports: Sequence[BoundReport], config: dict[str, Any] | None = None) -> str:
+    return _json_text({"config": config, "reports": [rep.to_dict() for rep in reports]})
 
 
 def write_reports_json(

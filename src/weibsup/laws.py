@@ -165,9 +165,10 @@ def lp_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
     if not 0.0 < r <= 2.0:
         raise ValueError(f"r must lie in (0, 2], got {r}")
     tv = np.asarray(t, dtype=np.float64)
-    # ||t||_p of t scaled down by 2^e where its p-th powers could overflow, scaled back
-    exp = max(_unit_scaled(tv)[1].item(), 0)
-    lp = float(np.ldexp(np.sum(np.abs(np.ldexp(tv, -exp)) ** p) ** (1.0 / p), exp))
+    # ||t||_p of t times the 2^-e that puts its largest |t_k| in [1/2, 1), where no
+    # p-th power overflows or underflows, scaled back
+    tu, exp = _unit_scaled(tv)
+    lp = float(np.ldexp(np.sum(np.abs(tu) ** p) ** (1.0 / p), exp.item()))
     l2 = float(point_norms(tv.reshape(1, -1), Metric.l2())[0])
     value = exact_abs_moment(r, p) ** (1.0 / p) * lp + math.sqrt(p) * math.sqrt(
         exact_abs_moment(r, 2.0)

@@ -53,6 +53,7 @@ class NonFiniteSampleError(RuntimeError):
     """A Monte Carlo draw produced a non-finite value."""
 
 
+# the first is the default of `weibsup simulate --driver`
 _DRIVER_KINDS = ("gaussian", "rademacher", "weibull", "cond_gaussian")
 
 
@@ -387,7 +388,8 @@ class ProbeSchedule:
     The level count m satisfies 2^(2^m) < n <= 2^(2^(m+1)).  The lower
     flavor probes u_j = (log(theta_j n / k_j))^(1/s) with theta_j =
     2^(-2^(j-1)) for j = 0..m; the upper flavor probes u_j =
-    (log(n / k_j))^(1/s) for j = 0..m+1 with k_{m+1} = 1.
+    (log(n / k_j))^(1/s) for j = 0..m+1 with k_{m+1} = 1.  k strictly
+    decreases in both: n > 2^(2^m) gives k_m >= 2, and k_{j+1} <= ceil(k_j / 2).
     """
 
     n: int
@@ -424,16 +426,8 @@ def build_probe_schedule(n: int, s: float, flavor: str) -> ProbeSchedule:
     else:
         for j in range(m + 2):
             k = 1 if j == m + 1 else -(-n // 2 ** (2**j))
-            # ceil pins k at 1 once 2^(2^j) >= n, so the appended k_{m+1} = 1
-            # level can repeat the previous one; u coincides there, so dropping
-            # the repeat keeps k strictly decreasing without losing a check
-            if levels and k == levels[-1].k:
-                continue
             u = math.log(n / k) ** (1.0 / s)
             levels.append(ProbeLevel(j=j, k=k, theta=None, u=u))
-    ks = [lv.k for lv in levels]
-    if any(later >= earlier for earlier, later in zip(ks, ks[1:])):
-        raise ValueError(f"schedule construction failed: k levels not decreasing for n={n}")
     return ProbeSchedule(n=n, s=s, flavor=flavor, m=m, levels=tuple(levels))
 
 

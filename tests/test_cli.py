@@ -160,6 +160,35 @@ def test_interrupted_subcommand_exits_130_and_keeps_its_output(
     assert out.read_text() == "previous"
 
 
+_SOURCE_DEFAULTS = {"set": None, "family": "scaled_basis(3)", "seed": 0}
+_OUTPUT_DEFAULTS = {"format": "json", "out": None}
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["simulate", "--family", "scaled_basis(3)"],
+     _SOURCE_DEFAULTS | _OUTPUT_DEFAULTS
+     | {"driver": "gaussian", "r": None, "samples": 20000, "workers": 1}),
+    (["gamma", "--family", "scaled_basis(3)"],
+     _SOURCE_DEFAULTS | _OUTPUT_DEFAULTS
+     | {"alpha": 2.0, "metric": "l2", "samples": 20000, "workers": 1}),
+    (["transform", "--family", "scaled_basis(3)", "--r", "1", "--out", "t.csv"],
+     _SOURCE_DEFAULTS | {"r": 1.0, "s": None, "perm": "identity", "out": "t.csv"}),
+    (["verify", "--config", "c.json"],
+     {"config": "c.json", "workers": 1, "samples": None, "perms": None, "seed": None,
+      "out": None}),
+    (["counterexample", "--r", "0.5", "--n", "16"],
+     _OUTPUT_DEFAULTS | {"r": 0.5, "n": "16"}),
+    (["moments", "--t", "1", "--r", "1", "--p", "2"],
+     _OUTPUT_DEFAULTS | {"t": "1", "r": 1.0, "p": "2", "samples": 20000, "seed": 0}),
+], ids=["simulate", "gamma", "transform", "verify", "counterexample", "moments"])
+def test_each_subcommand_takes_its_options_with_their_defaults(monkeypatch, argv, options):
+    parsed = {}
+    monkeypatch.setattr(f"weibsup.cli._cmd_{argv[0]}", lambda args: parsed.update(vars(args)))
+    main(argv)
+    del parsed["fn"]
+    assert parsed == {"command": argv[0], **options}
+
+
 def test_moments_json(tmp_path):
     out = tmp_path / "m.json"
     code = main([
@@ -296,7 +325,7 @@ def test_file_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
     [
         ["gamma", "--set", "big.csv", "--samples", "200"],
         ["transform", "--set", "big.csv", "--s", "0.1", "--out", "t.csv"],
-        ["moments", "--t", "1e200,1e200", "--r", "0.1", "--p", "8", "--samples", "200"],
+        ["moments", "--t", "1e308,1e308", "--r", "0.1", "--p", "8", "--samples", "200"],
     ],
     ids=["gamma", "transform", "moments"],
 )
@@ -430,12 +459,15 @@ _EDGE_CONFIG = {
         ["simulate", "--family", "gaussian_cloud(2,3,1e305)", "--samples", "5000"],
         ["gamma", "--family", "gaussian_cloud(2,64,1e306)", "--samples", "2000"],
         ["moments", "--t", "3e101", "--r", "1", "--p", "3", "--samples", "5000"],
+        ["moments", "--t", "1e200,1e200", "--r", "0.1", "--p", "8", "--samples", "200"],
         ["verify", "--config", "edge.json"],
     ],
-    ids=["simulate-2e304", "simulate-1e305", "gamma-1e306", "moments-3e101", "verify-1e305"],
+    ids=["simulate-2e304", "simulate-1e305", "gamma-1e306", "moments-3e101", "moments-1e200",
+         "verify-1e305"],
 )
 def test_draws_near_the_float64_edge_give_finite_reports(tmp_path, monkeypatch, capsys, argv):
-    # every draw and mean is finite, though a sum of 4096 draws overflows float64
+    # every draw and mean is finite, though a sum of 4096 draws, or a p-th power of
+    # a draw of the unscaled moment form, overflows float64
     monkeypatch.chdir(tmp_path)
     (tmp_path / "edge.json").write_text(json.dumps(_EDGE_CONFIG))
     with warnings.catch_warnings():
@@ -448,7 +480,8 @@ def test_draws_near_the_float64_edge_give_finite_reports(tmp_path, monkeypatch, 
     if argv[0] == "verify":
         assert [rep["flags"]["window"] for rep in json.loads(text)["reports"]] == ["ok"]
     if argv[0] == "moments":
-        assert main(["moments", "--t", "3e100", *argv[3:]]) == 0
+        tenth = ",".join(repr(float(x) / 10) for x in argv[2].split(","))
+        assert main(["moments", "--t", tenth, *argv[3:]]) == 0
         tenth = json.loads(capsys.readouterr().out)[0]["quantities"]["mc_norm"]
         assert json.loads(text)[0]["quantities"]["mc_norm"] == pytest.approx(10 * tenth, rel=1e-12)
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -697,3 +698,18 @@ class TestCsvRoundtrip:
         path.write_text("# only a header\n")
         with pytest.raises(ValueError, match="no points"):
             load_points_csv(str(path))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PointSet(np.zeros(3)), "points must be a 2-D array, got shape (3,)"),
+    (lambda: distance([[0.0, 1.0]], [0.0, 1.0], Metric.l2()), "distance expects 1-D vectors"),
+], ids=["pointset_1d", "distance_2d"])
+def test_malformed_inputs_raise_one_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_blank_csv_rows_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("\n# x,y\n1,2\n\n , \n3,4\n")
+    assert load_points_csv(str(path)).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]

@@ -983,3 +983,9 @@ class TestGammaValue:
             GammaValue(alpha=2.0, value=-1.0, method="dudley")
         with pytest.raises(ValueError):
             GammaValue(alpha=2.0, value=1.0, method="bogus")
+
+
+def test_chaining_bound_rejects_a_tree_of_another_set():
+    pset, other = PointSet([[0.0], [1.0]]), PointSet([[0.0], [2.0]])
+    with pytest.raises(ValueError, match="^tree does not partition the given point set$"):
+        chaining_bound(pset, 1.0, build_greedy_tree(other, Metric.l2()))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,23 @@ class TestMomentCheck:
             assert b.stderrs == {key: math.ldexp(v, k) for key, v in a.stderrs.items()}
             assert b.ratios == a.ratios
 
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(-1000, 1015))
+    @example(k=-1000)
+    @example(k=1015)
+    def test_scales_with_t_both_ways(self, k):
+        # a t of any size is taken at its unit scale, where no p-th power of a draw
+        # underflows or overflows, and every output is scaled back exactly
+        t = np.array([1.5, -2.25, 0.75])
+        orders = [2.0, 3.0, 7.5]
+        plain = moment_check(t, 1.0, orders, 2000, RandomStream(15))
+        scaled = moment_check(np.ldexp(t, k), 1.0, orders, 2000, RandomStream(15))
+        for a, b in zip(plain, scaled, strict=True):
+            assert b.quantities.pop("p") == a.quantities.pop("p")
+            assert b.quantities == {key: math.ldexp(v, k) for key, v in a.quantities.items()}
+            assert b.stderrs == {key: math.ldexp(v, k) for key, v in a.stderrs.items()}
+            assert b.ratios == a.ratios
+
 
 class TestRunAndPersistence:
     def write_cfg(self, tmp_path, data, name="cfg.json"):
@@ -832,3 +850,29 @@ class TestShippedConfigs:
         args = ["verify", "--config", str(path), "--samples", "200", "--perms", "2"]
         assert cli_main(args + ["--out", str(out)]) == 0
         assert out.exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RunConfig.from_dict({"name": "main_bound", "families": [], "r_values": ["1"]}),
+     "r_values must be a list of numbers, got ['1']"),
+    (lambda: InstanceFamily("hypercube_subset", n=0, m=1), "hypercube_subset needs n >= 1"),
+    (lambda: InstanceFamily("gaussian_cloud", n=2, m=0), "gaussian_cloud needs n >= 1 and m >= 1"),
+    (lambda: InstanceFamily("scaled_basis", n=0), "scaled_basis needs n >= 1"),
+    (lambda: InstanceFamily.from_dict([]), "family entries must be objects, got list"),
+    (lambda: moment_check([[1.0]], 1.0, [2.0], 100, RandomStream(0)),
+     "t must be a nonempty vector"),
+], ids=["numbers", "hypercube_n", "gaussian_m", "scaled_basis_n", "family_entry", "t_2d"])
+def test_malformed_inputs_raise_one_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_set_whose_permuted_sets_all_collapse_flags_an_infinite_ratio():
+    # at n = 1 the one weight (log(1/1))^(1/s) is 0, so every T_pi is one point
+    family = InstanceFamily("gaussian_cloud", seed=1, n=1, m=4)
+    cfg = RunConfig(name="main_bound", families=(family,), r_values=(1.0,), samples=500,
+                    num_perms=2)
+    (rep,) = verify_main_bound(cfg)
+    assert rep.quantities["epi_gamma2"] == 0.0 < rep.quantities["esup_weibull"]
+    assert rep.ratios == {"esup_weibull_over_epi_gamma2": math.inf}
+    assert rep.flags == {"window": "violation"}

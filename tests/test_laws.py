@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,10 +251,11 @@ class TestMomentFunctionals:
         assert sup_norm_moment_bound(t, p, r).value == expected
 
     def test_lp_norm_keeps_its_l2_term_where_squares_underflow(self):
-        # the lp term's squares underflow to 0, the l2 term's do not:
-        # sqrt(p) * sqrt(Gamma(2)) * ||t||_2 = sqrt(2) * sqrt(2) * 1e-200
+        # t's squares underflow, but both terms are taken at t scaled to the unit:
+        # Gamma(2)^(1/2) * ||t||_2 + sqrt(p) * sqrt(Gamma(2)) * ||t||_2 with p = 2
         mf = lp_norm_moment_bound([1e-200, 1e-200], p=2.0, r=2.0)
-        assert mf.value == pytest.approx(2e-200, rel=1e-15, abs=0.0)
+        expected = (1.0 + math.sqrt(2.0)) * math.sqrt(2.0) * 1e-200
+        assert mf.value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("k", [400, 1000])
     def test_lp_norm_scales_where_the_powers_overflow(self, k):
@@ -350,3 +352,27 @@ class TestCoupledQuantiles:
             coupled_quantiles(1.0, 0.0)
         with pytest.raises(ValueError):
             coupled_quantiles(1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WeibullLaw(1.0).quantile_abs(1.0), "quantile level must lie in [0, 1)"),
+    (lambda: abs_weibull(np.random.default_rng(0), 0.0), "tail exponent must be positive, got 0.0"),
+    (lambda: exact_abs_moment(0.0, 1.0), "r must be positive, got 0.0"),
+    (lambda: MomentFunctional(p=2.0, value=1.0, kind="l3"), "unknown kind 'l3'"),
+    (lambda: MomentFunctional(p=2.0, value=-1.0, kind="lp_norm_bound"),
+     "value must be nonnegative, got -1.0"),
+    (lambda: sup_norm_moment_bound([1.0], 2.0, 3.0), "r must lie in (0, 2], got 3.0"),
+    (lambda: lp_norm_moment_bound([1.0], 2.0, 0.0), "r must lie in (0, 2], got 0.0"),
+    (lambda: product_tail(1.0, -1.0), "threshold must be nonnegative, got -1.0"),
+    (lambda: product_tail(1.0, 1.0, quadrature_tol=0.0), "quadrature tolerance must be positive"),
+    (lambda: coupled_quantiles(2.0, 0.5), "r must lie in (0, 2), got 2.0"),
+], ids=["quantile_level", "abs_weibull_exponent", "moment_r", "functional_kind",
+        "functional_value", "sup_norm_r", "lp_norm_r", "tail_threshold", "tail_tolerance",
+        "coupling_r"])
+def test_malformed_inputs_raise_one_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_weibull_law_s_is_the_conjugate_exponent():
+    assert WeibullLaw(1.0).s == 2.0 and WeibullLaw(2.0).s == math.inf

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -672,6 +673,16 @@ class TestProbeSchedules:
                 ks = [lv.k for lv in build_probe_schedule(n, 2.0, flavor).levels]
                 assert all(a > b for a, b in zip(ks, ks[1:]))
 
+    def test_k_strictly_decreasing_at_every_size(self):
+        edges = [2 ** 2**j + d for j in range(2, 6) for d in (-1, 0, 1)]
+        for n in [*range(3, 70_001), *edges]:
+            for flavor in ("lower", "upper") if n >= 512 else ("upper",):
+                sched = build_probe_schedule(n, 2.0, flavor)
+                ks = [lv.k for lv in sched.levels]
+                assert all(a > b for a, b in zip(ks, ks[1:])), (n, flavor, ks)
+                assert len(ks) == sched.m + {"lower": 1, "upper": 2}[flavor]
+                assert flavor == "lower" or ks[-1] == 1
+
     def test_theta_in_unit_interval(self):
         sched = build_probe_schedule(1024, 2.0, "lower")
         assert all(0.0 < lv.theta <= 1.0 for lv in sched.levels)
@@ -708,3 +719,18 @@ class TestContraction:
             ea = esup_mc(PointSet(base * a), Driver.weibull(1.0), 8000, st_)
             eb = esup_mc(PointSet(base * b), Driver.weibull(1.0), 8000, st_)
             assert ea.mean <= eb.mean + 3.0 * math.hypot(ea.stderr, eb.stderr)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: order_stat_tail(0, 1.0, 1, 1.0), "need n >= 1, got 0"),
+    (lambda: order_stat_tail(3, 0.0, 1, 1.0), "tail exponent must be positive, got 0.0"),
+    (lambda: order_stat_tail(3, 1.0, 1, -1.0), "threshold must be nonnegative, got -1.0"),
+    (lambda: build_probe_schedule(2, 1.0, "upper"), "schedules need n >= 3, got 2"),
+    (lambda: build_probe_schedule(8, 1.0, "middle"),
+     "flavor must be 'lower' or 'upper', got 'middle'"),
+    (lambda: build_probe_schedule(8, 0.0, "upper"), "tail exponent must be positive, got 0.0"),
+], ids=["order_stat_n", "order_stat_s", "order_stat_u", "schedule_n", "schedule_flavor",
+        "schedule_s"])
+def test_malformed_inputs_raise_one_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

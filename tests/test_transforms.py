@@ -296,3 +296,17 @@ class TestAxisSetPermutations:
                 scaled = epi_gamma2(PointSet(np.ldexp(pset.points, k)), 2.0, 4, method,
                                     RandomStream(44))
                 assert scaled == (math.ldexp(plain.mean, k), plain.spread)
+
+
+def test_epi_gamma2_needs_a_permutation():
+    pset = PointSet([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="^need num_perms >= 1, got 0$"):
+        epi_gamma2(pset, 2.0, 0, "greedy_upper", RandomStream(0))
+
+
+def test_spread_is_infinite_where_only_some_permuted_sets_collapse():
+    # the points differ on one coordinate only, and its weight is w_2 = 0 wherever
+    # pi moves it to position 2: that T_pi is one point, the others are two
+    pset = PointSet([[0.0, 0.0], [1.0, 0.0]])
+    epi = epi_gamma2(pset, 2.0, 6, "greedy_upper", RandomStream(0))
+    assert epi.spread == math.inf and epi.mean > 0.0
