@@ -29,7 +29,6 @@ from .core import (
     load_points_csv,
 )
 from .gamma import (
-    PartitionTree,
     build_greedy_tree,
     chaining_bound,
     gamma_from_tree,
@@ -469,24 +468,51 @@ def verify_main_bound(cfg: RunConfig, workers: int = 1) -> list[BoundReport]:
     return _grid_reports(_instance_grid(cfg), _main_bound_instance, cfg, workers)
 
 
+def _r1_set_quantities(
+    pset: PointSet, r_values: Sequence[float]
+) -> dict[float, tuple[float, float, float] | Exception]:
+    """gamma_2(T, d_2), gamma_r(T, d_inf) and ``chaining_bound`` of the set for
+    every r, or the exception that computing them raised for that r (kept
+    without its traceback, which would keep this call's frames alive).  Both
+    greedy trees, their intersection and the set's l2 and linf matrices are
+    built on a private copy of the set and freed on return."""
+    own = PointSet(pset.points, label=pset.label)
+    try:
+        tree_l2 = build_greedy_tree(own, Metric.l2())
+        tree_linf = build_greedy_tree(own, Metric.linf())
+        g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
+        both = intersect_trees(tree_l2, tree_linf)
+    except Exception as exc:
+        return dict.fromkeys(r_values, exc.with_traceback(None))
+    by_r: dict[float, tuple[float, float, float] | Exception] = {}
+    for r in r_values:
+        try:
+            gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
+            by_r[r] = g2, gr, chaining_bound(own, r, both)
+        except Exception as exc:
+            by_r[r] = exc.with_traceback(None)
+    return by_r
+
+
 def _r1_bound_instance(
     inst: _Instance, cfg: RunConfig, workers: int,
-    by_set: dict[PointSet, tuple[PartitionTree, float, PartitionTree]],
+    by_set: dict[PointSet, dict[float, tuple[float, float, float] | Exception]],
 ) -> BoundReport:
-    """One r1_bound report.  Both greedy trees, gamma_2(T, d_2) and the trees'
-    intersection do not depend on r: the first instance of a point set computes
-    them into ``by_set``, keyed by the set, and the later ones read them there."""
+    """One r1_bound report.  The gamma terms and the chaining bound depend on
+    the set and r only: the first instance of a point set computes them for
+    every r of the config into ``by_set``, keyed by the set, and the later ones
+    read them there.  ``by_set`` keeps these numbers (or an r's exception, which
+    only that r's instance raises), never a tree or a distance matrix, so a
+    set's matrices are freed before the next instance's Monte Carlo passes."""
     pset, r = inst.pset, inst.r
     est, epi, report = _bound_head("r1_bound", inst, cfg, workers)
     if pset not in by_set:
-        tree_l2 = build_greedy_tree(pset, Metric.l2())
-        tree_linf = build_greedy_tree(pset, Metric.linf())
-        g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
-        by_set[pset] = tree_linf, g2, intersect_trees(tree_l2, tree_linf)
-    tree_linf, g2, both = by_set[pset]
-    gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
+        by_set[pset] = _r1_set_quantities(pset, cfg.r_values)
+    terms = by_set[pset][r]
+    if isinstance(terms, Exception):
+        raise terms.with_traceback(None)
+    g2, gr, chain = terms
     gamma_sum = g2 + gr
-    chain = chaining_bound(pset, r, both)
     report.quantities.update(
         gamma2_d2=g2, gamma_r_dinf=gr, gamma_sum=gamma_sum, chaining_bound=chain
     )

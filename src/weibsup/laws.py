@@ -142,6 +142,14 @@ class MomentFunctional:
             raise ValueError(f"value must be nonnegative, got {self.value}")
 
 
+def _finite_functional(p: float, r: float, value: float, kind: str) -> MomentFunctional:
+    """The functional of this value, or ValueError naming the bound where the
+    value overflowed float64 (the sum of two finite terms can)."""
+    if value == math.inf:
+        raise ValueError(f"{kind} at r={r}, p={p} overflows float64")
+    return MomentFunctional(p=p, value=value, kind=kind)
+
+
 def sup_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
     """sqrt(p)*||t||_2 + p^(1/r)*||t||_inf."""
     if not p >= 2.0:
@@ -149,9 +157,10 @@ def sup_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
     if not 0.0 < r <= 2.0:
         raise ValueError(f"r must lie in (0, 2], got {r}")
     tv = np.asarray(t, dtype=np.float64).reshape(1, -1)
-    l2, linf = (float(point_norms(tv, metric)[0]) for metric in (Metric.l2(), Metric.linf()))
+    with np.errstate(over="ignore"):  # an overflowed norm leaves inf, rejected below
+        l2, linf = (float(point_norms(tv, metric)[0]) for metric in (Metric.l2(), Metric.linf()))
     value = math.sqrt(p) * l2 + _power(p, 1.0 / r, f"p^(1/r) at r={r}, p={p}") * linf
-    return MomentFunctional(p=p, value=value, kind="sup_norm_bound")
+    return _finite_functional(p, r, value, "sup_norm_bound")
 
 
 def lp_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
@@ -168,12 +177,13 @@ def lp_norm_moment_bound(t, p: float, r: float) -> MomentFunctional:
     # ||t||_p of t times the 2^-e that puts its largest |t_k| in [1/2, 1), where no
     # p-th power overflows or underflows, scaled back
     tu, exp = _unit_scaled(tv)
-    lp = float(np.ldexp(np.sum(np.abs(tu) ** p) ** (1.0 / p), exp.item()))
-    l2 = float(point_norms(tv.reshape(1, -1), Metric.l2())[0])
+    with np.errstate(over="ignore"):  # an overflowed norm leaves inf, rejected below
+        lp = float(np.ldexp(np.sum(np.abs(tu) ** p) ** (1.0 / p), exp.item()))
+        l2 = float(point_norms(tv.reshape(1, -1), Metric.l2())[0])
     value = exact_abs_moment(r, p) ** (1.0 / p) * lp + math.sqrt(p) * math.sqrt(
         exact_abs_moment(r, 2.0)
     ) * l2
-    return MomentFunctional(p=p, value=value, kind="lp_norm_bound")
+    return _finite_functional(p, r, value, "lp_norm_bound")
 
 
 def product_tail(r: float, t: float, quadrature_tol: float = 1e-8) -> float:

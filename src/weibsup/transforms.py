@@ -9,7 +9,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Metric, PointSet, RandomStream, _axis_form, _weighted_l2_matrices
+from .core import (
+    Metric,
+    PointSet,
+    RandomStream,
+    _axis_form,
+    _unit_scaled,
+    _weighted_l2_matrices,
+)
 from .gamma import (
     _distance_matrix,
     build_greedy_tree,
@@ -133,7 +140,10 @@ def epi_gamma2(
             if matrices is not None:
                 _distance_matrix(t_pi, l2, matrices[i])
             values.append(gamma_from_tree(builder(t_pi, l2), 2.0, l2).value)
-    mean = math.fsum(values) / num_perms
+    # the mean of the values times the 2^-e that puts the largest in [1/2, 1), whose
+    # sum cannot overflow where theirs can, scaled back
+    scaled, exp = _unit_scaled(values)
+    mean = math.ldexp(math.fsum(scaled) / num_perms, exp.item())
     vmax, vmin = max(values), min(values)
     if vmax == 0.0:
         spread = 1.0

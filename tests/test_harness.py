@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +253,22 @@ class TestVerifyMainBound:
         with pytest.raises(ConfigError):
             verify_main_bound(cfg)
 
+    def test_epi_gamma2_mean_of_finite_values_whose_sum_overflows(self):
+        # every gamma_2(T_pi) is finite at scale 1e307, but the sum of the four is not
+        cfg = RunConfig(
+            name="main_bound",
+            families=(InstanceFamily("gaussian_cloud", seed=3, n=2, m=16, scale=1e307),),
+            r_values=(1.5,),
+            samples=2000,
+            num_perms=4,
+            seed=7,
+        )
+        (rep,) = verify_main_bound(cfg)
+        assert rep.quantities["epi_gamma2"] == pytest.approx(4.588027860863224e307, rel=1e-12)
+        assert rep.ratios["esup_weibull_over_epi_gamma2"] == pytest.approx(
+            0.5264729716617788, rel=1e-12)
+        assert rep.flags == {"window": "ok"}
+
 
 class TestVerifyR1Bound:
     def test_reports_have_expected_fields(self):
@@ -325,6 +343,63 @@ class TestVerifyR1Bound:
             ("intersect_trees", None): families,
         }
 
+    def test_grid_sets_hold_no_distance_matrix(self, monkeypatch):
+        grids = []
+
+        def captured(cfg, _grid=harness._instance_grid):
+            grids.append(_grid(cfg))
+            return grids[-1]
+
+        monkeypatch.setattr(harness, "_instance_grid", captured)
+        verify_r1_bound(_r1_clouds(2, n=8, m=16))
+        (grid,) = grids
+        assert len(grid) == 4
+        assert all(not inst.pset._distances for inst in grid)
+
+    def test_peak_memory_does_not_grow_with_the_families(self):
+        # one 256 x 256 float64 matrix; each set's l2 and linf matrices take two
+        matrix = 256 * 256 * 8
+
+        def peak(families):
+            tracemalloc.start()
+            try:
+                verify_r1_bound(_r1_clouds(families, n=32, m=256))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-call allocations are not the run's
+        one, three = peak(1), peak(3)
+        assert three - one < matrix, (one, three)
+
+    def test_an_error_for_one_r_is_that_instance_s_alone(self, tmp_path):
+        data = {
+            "name": "r1_bound",
+            "families": [
+                {"kind": "gaussian_cloud", "n": 2, "m": 16, "scale": 6.309573444802098e306,
+                 "seed": 3},
+                {"kind": "gaussian_cloud", "n": 3, "m": 12, "seed": 4},
+            ],
+            "r_values": [1.0, 2.0], "samples": 500, "num_perms": 2, "seed": 7,
+            "out": str(tmp_path / "report.json"),
+        }
+        config = tmp_path / "r1.json"
+        config.write_text(json.dumps(data))
+        assert run(str(config)) == 1
+        # each instance on its own, with nothing computed for it by another
+        cfg = RunConfig.from_dict(data)
+        alone = [
+            harness._recording(functools.partial(harness._r1_bound_instance, by_set={}))(
+                inst, cfg, 1)
+            for inst in harness._instance_grid(cfg)
+        ]
+        errors = [(rep.instance, rep.r, rep.flags.get("error_message")) for rep in alone
+                  if rep.flags.get("run") == "error"]
+        assert errors == [(cfg.families[0].descriptor(), 1.0,
+                           "ValueError: the chaining level sum overflows float64")]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["reports"] == json.loads(reports_json_text(alone))["reports"]
+
     def test_r_domain(self):
         cfg = RunConfig(
             name="r1_bound",
@@ -335,6 +410,19 @@ class TestVerifyR1Bound:
         )
         with pytest.raises(ConfigError):
             verify_r1_bound(cfg)
+
+
+def _r1_clouds(families, n, m):
+    """An r1_bound config on gaussian_cloud(n, m) families of seeds 1, 2, ..."""
+    return RunConfig(
+        name="r1_bound",
+        families=tuple(InstanceFamily("gaussian_cloud", seed=seed, n=n, m=m)
+                       for seed in range(1, families + 1)),
+        r_values=(1.0, 1.5),
+        samples=500,
+        num_perms=2,
+        seed=7,
+    )
 
 
 def _scaled_grid(name, scale):

@@ -363,11 +363,16 @@ class TestCoupledQuantiles:
      "value must be nonnegative, got -1.0"),
     (lambda: sup_norm_moment_bound([1.0], 2.0, 3.0), "r must lie in (0, 2], got 3.0"),
     (lambda: lp_norm_moment_bound([1.0], 2.0, 0.0), "r must lie in (0, 2], got 0.0"),
+    (lambda: sup_norm_moment_bound([1e308], 2.0, 1.0),
+     "sup_norm_bound at r=1.0, p=2.0 overflows float64"),
+    (lambda: lp_norm_moment_bound([1e308], 8.0, 0.1),
+     "lp_norm_bound at r=0.1, p=8.0 overflows float64"),
     (lambda: product_tail(1.0, -1.0), "threshold must be nonnegative, got -1.0"),
     (lambda: product_tail(1.0, 1.0, quadrature_tol=0.0), "quadrature tolerance must be positive"),
     (lambda: coupled_quantiles(2.0, 0.5), "r must lie in (0, 2), got 2.0"),
 ], ids=["quantile_level", "abs_weibull_exponent", "moment_r", "functional_kind",
-        "functional_value", "sup_norm_r", "lp_norm_r", "tail_threshold", "tail_tolerance",
+        "functional_value", "sup_norm_r", "lp_norm_r", "sup_norm_overflow",
+        "lp_norm_overflow", "tail_threshold", "tail_tolerance",
         "coupling_r"])
 def test_malformed_inputs_raise_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
