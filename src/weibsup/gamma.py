@@ -108,8 +108,10 @@ def _distance_matrix(
 
 def _segments(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points grouped by cell (ascending inside each cell), and where each
-    cell starts in that order and how many points it has."""
-    order = np.argsort(labels, kind="stable")
+    cell starts in that order and how many points it has.  Labels number
+    nonempty cells, so below 2^16 points they fit 16 bits, which numpy sorts
+    stably by radix; the stable order is unique, so it is the same."""
+    order = np.argsort(labels.astype(np.uint16) if labels.size <= 2**16 else labels, kind="stable")
     sizes = np.bincount(labels)
     return order, np.cumsum(sizes) - sizes, sizes
 
@@ -126,7 +128,8 @@ def _tree(pset: PointSet, rows: Sequence[np.ndarray]) -> PartitionTree:
 
 
 def _point_cells(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per cell of one level: do all of its points coincide (zero diameter)?"""
+    """Per cell of one level: do all of its points coincide (zero diameter)?
+    ``points`` may be any rows that are equal exactly where the points are."""
     last = np.zeros(labels.max() + 1, dtype=np.int64)
     last[labels] = np.arange(labels.size)
     moved = (points != points[last[labels]]).any(axis=1)
@@ -168,16 +171,58 @@ def _nested_labels(tree: PartitionTree) -> np.ndarray:
         if flat.size < m:
             raise NotAdmissibleError(f"level {n} does not cover point {np.argmin(counts)}")
         if n:
-            # a cell is nested when its points' parent labels agree (empty cells never do)
-            lo, hi = np.full(len(level), m), np.full(len(level), -1)
-            np.minimum.at(lo, labels[n], labels[n - 1])
-            np.maximum.at(hi, labels[n], labels[n - 1])
-            if (lo != hi).any():
-                cell = level[int(np.argmax(lo != hi))]
+            unnested = _unnested(labels[n], labels[n - 1], len(level))
+            if unnested.any():
+                cell = level[int(np.argmax(unnested))]
                 raise NotAdmissibleError(
                     f"level {n} cell {tuple(cell)} is not nested in a single parent"
                 )
     return labels
+
+
+def _unnested(row: np.ndarray, parent: np.ndarray, cells: int) -> np.ndarray:
+    """Per cell of the level ``row``: do its points' ``parent`` labels disagree
+    (an empty cell's always do)?"""
+    lo, hi = np.full(cells, parent.size), np.full(cells, -1)
+    np.minimum.at(lo, row, parent)
+    np.maximum.at(hi, row, parent)
+    return lo != hi
+
+
+def _check_labels(points: np.ndarray, labels: np.ndarray, trees: int) -> None:
+    """Raise NotAdmissibleError naming the first violated invariant of the
+    (levels, K * m) labels of a forest of K = ``trees`` trees, tree k holding
+    points k * m to k * m + m - 1: level 0 is one cell per tree; each later
+    level numbers its cells 0..c-1 with none empty, nests each in one parent
+    and gives no tree more cells than the level's budget; every final cell is
+    a singleton or a group of equal rows of ``points``."""
+    tree = np.arange(labels.shape[1]) // (labels.shape[1] // trees)
+    if not np.array_equal(labels[0], tree):
+        raise NotAdmissibleError("level 0 must be one cell per tree")
+    for n in range(1, len(labels)):
+        row, cells = labels[n], int(labels[n].max()) + 1
+        if row.min() < 0 or np.bincount(row).min() == 0:
+            raise NotAdmissibleError(f"level {n} does not number its cells 0..{cells - 1}")
+        unnested = _unnested(row, labels[n - 1], cells)
+        if unnested.any():
+            raise NotAdmissibleError(
+                f"level {n} cell {np.argmax(unnested)} is not nested in a single parent"
+            )
+        cell_tree = np.empty(cells, dtype=np.int64)
+        cell_tree[row] = tree
+        per_tree, budget = np.bincount(cell_tree, minlength=trees), _level_budget(n)
+        if budget is not None and per_tree.max() > budget:
+            k = int(np.argmax(per_tree))
+            raise NotAdmissibleError(
+                f"level {n} has {per_tree[k]} cells in tree {k}, over the budget "
+                f"2^(2^{n}) = {budget}"
+            )
+    spread = ~_point_cells(points, labels[-1])
+    if spread.any():
+        raise NotAdmissibleError(
+            f"final level cell {np.argmax(spread)} is neither a singleton nor a "
+            "zero-diameter duplicate group"
+        )
 
 
 def validate_admissible(tree: PartitionTree) -> np.ndarray:
@@ -196,11 +241,11 @@ def validate_admissible(tree: PartitionTree) -> np.ndarray:
     return labels
 
 
-def _center_norms(pset: PointSet, metric: Metric) -> np.ndarray:
+def _center_norms(points: np.ndarray, metric: Metric) -> np.ndarray:
     """The norms that pick the first center: those of the unit-scaled points,
     which cannot overflow.  Under l2 and linf they are the unscaled norms times
     one power of two wherever those are finite, so the order is the same."""
-    return _row_norms(_unit_scaled(pset.points)[0], metric)
+    return _row_norms(_unit_scaled(points)[0], metric)
 
 
 def _first_max(values: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -218,7 +263,9 @@ def _farthest_points(
     dist: np.ndarray, norms: np.ndarray, labels: np.ndarray, ks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Gonzalez's greedy k-center, run in every cell of one level at once: cell c,
-    the points labelled c, takes up to ks[c] centers.
+    the points labelled c, takes up to ks[c] centers.  The points form trees of
+    m = dist.shape[1] points each, point P = k * m + i being point i of tree k,
+    and dist[P, j] is its distance to point j of its tree; a cell lies in one tree.
 
     A cell's first center is its max-norm point, each next one its point
     farthest from its centers so far; ties break to the lowest index.  A cell
@@ -232,12 +279,12 @@ def _farthest_points(
     center in it (step 0: every cell's radius around its first center).
     """
     order, starts, sizes = _segments(labels)
-    seg = labels[order]
+    seg, cols = labels[order], order % dist.shape[1]
     rank = np.zeros(labels.size, dtype=np.int64)
     counts = np.empty(len(ks), dtype=np.int64)
     center = order[_first_max(norms[order], starts, seg)]
     # distance to, and rank of, each point's nearest center, the points in the order of ``order``
-    near = dist[center[seg], order]
+    near = dist[center[seg], cols]
     nearest = np.zeros(order.size, dtype=np.int64)
     far = _first_max(near, starts, seg)
     radii = [near[far]]
@@ -252,13 +299,13 @@ def _farthest_points(
             keep = more[seg]
             rank[order[~keep]] = nearest[~keep]
             counts[cells[~more]] = step
-            order, near, nearest = order[keep], near[keep], nearest[keep]
+            order, cols, near, nearest = order[keep], cols[keep], near[keep], nearest[keep]
             cells, limit, center, sizes = cells[more], limit[more], center[more], sizes[more]
             if not cells.size:
                 return rank, counts, radii
             seg = (np.cumsum(more) - 1)[seg[keep]]
             starts = np.cumsum(sizes) - sizes
-        moved = dist[center[seg], order]
+        moved = dist[center[seg], cols]
         np.putmask(nearest, moved < near, step)
         np.minimum(near, moved, out=near)
         far = _first_max(near, starts, seg)
@@ -302,6 +349,54 @@ def _allocations(sizes: np.ndarray, hard: int | None, m: int) -> np.ndarray:
     return allocs + _take_from_largest(deficits, min(cap - total, int(deficits.sum())), last=False)
 
 
+def _greedy_labels(
+    dist: np.ndarray, norms: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy trees of K sets of m points, built as one forest: their
+    (levels, K * m) labels, point P = k * m + i being point i of tree k, and
+    each tree's depth, its own number of levels.  ``dist`` is the (K, m, m)
+    stack of the sets' distance matrices, and ``norms`` and the rows of
+    ``points`` are the K * m points' center norms and coordinates (or any rows
+    equal exactly where the points are).
+
+    Level 0 is one cell per tree, and each later level splits every cell of
+    every tree in one farthest-point pass, each tree under its own budget.
+    Levels past a tree's depth repeat its last labels.
+    """
+    trees, m = dist.shape[:2]
+    tree = np.arange(trees * m) // m
+    rows, depths = [tree], np.full(trees, _MAX_LEVELS)
+    for n in range(1, _MAX_LEVELS):
+        row = rows[-1]
+        is_point = _point_cells(points, row)
+        cell_tree = np.empty(is_point.size, dtype=np.int64)
+        cell_tree[row] = tree  # trees number their cells in turn
+        done = np.bincount(cell_tree, ~is_point, trees) == 0
+        depths[done] = np.minimum(depths[done], n)
+        if done.all():
+            break
+        sizes = np.bincount(row)
+        # a zero-diameter cell cannot split; it takes exactly one slot
+        allocs = np.where(is_point, 1, sizes)
+        bounds = np.searchsorted(cell_tree, np.arange(trees + 1))
+        for k in np.flatnonzero(~done):
+            cells = slice(bounds[k], bounds[k + 1])
+            allocs[cells] = _allocations(allocs[cells], _level_budget(n), m)
+        split = (allocs > 1) & ~is_point
+        rank, counts, _ = _farthest_points(
+            dist.reshape(trees * m, m), norms, row, np.where(split, allocs, 1)
+        )
+        stuck = split & (counts == 1) & (allocs == sizes)
+        if stuck.any():
+            order, starts, _ = _segments(row)
+            within = np.empty(row.size, dtype=np.int64)
+            within[order] = np.arange(row.size) - starts[row[order]]
+            rank = np.where(stuck[row], within, rank)
+            counts = np.where(stuck, sizes, counts)
+        rows.append((np.cumsum(counts) - counts)[row] + rank)
+    return np.array(rows), depths
+
+
 def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     """Admissible tree by recursive greedy farthest-point k-center splits.
 
@@ -311,81 +406,89 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     ceil rounding overshoots the hard cardinality cap the largest allocations
     are trimmed.  Every cell of a level is split in one farthest-point pass.
     Construction stops at the first level where every cell has zero diameter.
+    The tree is the one-tree forest of ``_greedy_labels``, the builder that
+    ``epi_gamma2`` runs over every T_pi at once.
 
     Distinct points whose distances all underflow to 0 cannot be told apart
     by distance: a cell of them keeps one center until its share covers its
     size, and then splits into singletons.
     """
-    m = pset.m
     dist = _distance_matrix(pset, metric)
-    norms = _center_norms(pset, metric)
-    rows = [np.zeros(m, dtype=np.int64)]
-    for n in range(1, _MAX_LEVELS):
-        row = rows[-1]
-        is_point = _point_cells(pset.points, row)
-        if is_point.all():
-            break
-        sizes = np.bincount(row)
-        # a zero-diameter cell cannot split; it takes exactly one slot
-        allocs = _allocations(np.where(is_point, 1, sizes), _level_budget(n), m)
-        split = (allocs > 1) & ~is_point
-        rank, counts, _ = _farthest_points(dist, norms, row, np.where(split, allocs, 1))
-        stuck = split & (counts == 1) & (allocs == sizes)
-        if stuck.any():
-            order, starts, _ = _segments(row)
-            within = np.empty(m, dtype=np.int64)
-            within[order] = np.arange(m) - starts[row[order]]
-            rank = np.where(stuck[row], within, rank)
-            counts = np.where(stuck, sizes, counts)
-        rows.append((np.cumsum(counts) - counts)[row] + rank)
-    return _tree(pset, rows)
+    labels = _greedy_labels(dist[None], _center_norms(pset.points, metric), pset.points)[0]
+    return _tree(pset, labels)
 
 
 def _sup_level_sum(
-    labels: np.ndarray, mats: Sequence[np.ndarray], coeffs: Sequence[Sequence[float]]
-) -> float:
-    """sup over t of sum_n of level n's value on A_n(t), the cells read from the
-    (levels, m) labels: the max over the cell's point pairs i <= j of
-    sum_k coeffs[n][k] * mats[k][i, j], for m x m symmetric mats and coeffs > 0.
+    labels: np.ndarray,
+    mats: Sequence[np.ndarray],
+    coeffs: Sequence[Sequence[float]],
+    depths: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per tree of a forest of K trees of m points (see ``_greedy_labels``),
+    sup over its points t of sum_n of level n's value on A_n(t), the cells read
+    from the (levels, K * m) labels: the max over the cell's point pairs i <= j
+    of sum_k coeffs[n][k] * mats[k][tree, i, j], for (K, m, m) stacks of
+    symmetric mats and coeffs > 0.  A tree adds nothing from the levels at and
+    past its entry of ``depths``.
 
-    A level of one cell is read in bands of rows of the mats themselves (views).
-    Any other level is one list of its in-cell pairs, each point with itself and
-    the later points of its cell, gathered by flat index in blocks of whole
-    points' pairs.  A block holds at most _GATHER_ENTRIES pairs, or one point's
-    where those are more, and so bounds every temporary of the read.  A sum
-    that overflows float64 raises ValueError.
+    A level of one cell per tree is read in bands of rows of each tree's mats
+    themselves (views).  Any other level is one list of its in-cell pairs, each
+    point with itself and the later points of its cell, gathered by flat index
+    in blocks of whole points' pairs.  A block holds at most _GATHER_ENTRIES
+    pairs, or one point's where those are more, and so bounds every temporary
+    of the read.  A sum that overflows float64 raises ValueError.
     """
-    m = labels.shape[1]
+    trees, m = mats[0].shape[:2]
     band = max(1, _GATHER_ENTRIES // m)
-    acc = np.zeros(m)
+    acc = np.zeros((trees, m))
     with np.errstate(over="ignore"):  # an overflow leaves inf, checked once below
         for n, row in enumerate(labels):
-            if not row.any():  # one cell of every point
-                views = ((mat[i:i + band, i:] for mat in mats) for i in range(0, m, band))
-                acc += max(reduce(np.add, map(np.multiply, coeffs[n], parts)).max() for parts in views)
-                continue
-            order, starts, sizes = _segments(row)
-            # position p, in cell order, pairs with itself and the later positions of its cell
-            counts = np.repeat(starts + sizes, sizes) - np.arange(m)
-            last = np.cumsum(counts)
-            point_max, p = np.empty(m), 0
-            while p < m:
-                base = last[p] - counts[p]
-                q = max(p + 1, int(np.searchsorted(last, base + _GATHER_ENTRIES, side="right")))
-                firsts = last[p:q] - counts[p:q] - base
-                flat = np.repeat(np.arange(p, q) - firsts, counts[p:q])
-                flat += np.arange(flat.size)  # each pair's second position
-                flat = order[flat]
-                flat += np.repeat(order[p:q] * m, counts[p:q])  # each pair's flat index
-                values = reduce(np.add, map(np.multiply, coeffs[n], (mat.take(flat) for mat in mats)))
-                point_max[p:q] = np.maximum.reduceat(values, firsts)
-                del flat, values  # before the next block's are built
-                p = q
-            acc += np.maximum.reduceat(point_max, starts)[row]
-    value = float(acc.max())
-    if math.isinf(value):
+            if row.max() + 1 == trees:  # one cell per tree, of all of its points
+                gain = np.empty((trees, 1))
+                for k in range(trees):
+                    views = ((mat[k, i:i + band, i:] for mat in mats) for i in range(0, m, band))
+                    gain[k] = max(
+                        reduce(np.add, map(np.multiply, coeffs[n], parts)).max() for parts in views
+                    )
+            else:
+                order, starts, sizes = _segments(row)
+                cols = order % m  # each point's column in its tree's mats
+                # position p, in cell order, pairs with itself and the later positions of its cell
+                counts = np.repeat(starts + sizes, sizes) - np.arange(row.size)
+                last = np.cumsum(counts)
+                point_max, p = np.empty(row.size), 0
+                while p < row.size:
+                    base = last[p] - counts[p]
+                    q = max(p + 1, int(np.searchsorted(last, base + _GATHER_ENTRIES, side="right")))
+                    firsts = last[p:q] - counts[p:q] - base
+                    flat = np.repeat(np.arange(p, q) - firsts, counts[p:q])
+                    flat += np.arange(flat.size)  # each pair's second position
+                    flat = cols[flat]
+                    flat += np.repeat(order[p:q] * m, counts[p:q])  # each pair's flat index
+                    values = reduce(
+                        np.add, map(np.multiply, coeffs[n], (mat.take(flat) for mat in mats))
+                    )
+                    point_max[p:q] = np.maximum.reduceat(values, firsts)
+                    del flat, values  # before the next block's are built
+                    p = q
+                gain = np.maximum.reduceat(point_max, starts)[row].reshape(trees, m)
+            if depths is not None:
+                gain[depths <= n] = 0.0
+            acc += gain
+    values = acc.max(axis=1)
+    if np.isinf(values).any():
         raise ValueError("the chaining level sum overflows float64")
-    return value
+    return values
+
+
+def _level_gammas(
+    labels: np.ndarray, dist: np.ndarray, alpha: float, depths: np.ndarray | None = None
+) -> np.ndarray:
+    """Each tree's sup over points of sum_n 2^(n/alpha) * diam(A_n(t)), read by
+    ``_sup_level_sum`` from a forest's labels and (K, m, m) distance stack."""
+    coeffs = [[_power(2.0, n / alpha, f"level weight 2^({n}/{alpha})")]
+              for n in range(len(labels))]
+    return _sup_level_sum(labels, [dist], coeffs, depths)
 
 
 def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaValue:
@@ -393,10 +496,16 @@ def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaV
     _check_alpha(alpha)
     labels = validate_admissible(tree)
     dist = _distance_matrix(tree.pointset, metric)
-    coeffs = [[_power(2.0, n / alpha, f"level weight 2^({n}/{alpha})")]
-              for n in range(len(labels))]
-    value = _sup_level_sum(labels, [dist], coeffs)
+    value = float(_level_gammas(labels, dist[None], alpha)[0])
     return GammaValue(alpha=alpha, value=value, method="greedy_upper")
+
+
+def _greedy_gammas(dist: np.ndarray, norms: np.ndarray, points: np.ndarray) -> list[float]:
+    """gamma_2 of the greedy tree of each of K sets of m points, built, checked
+    and read as one forest (the arguments are ``_greedy_labels``')."""
+    labels, depths = _greedy_labels(dist, norms, points)
+    _check_labels(points, labels, len(dist))
+    return _level_gammas(labels, dist, 2.0, depths).tolist()
 
 
 def _best_partition_max_diam(dist: np.ndarray, max_blocks: int) -> tuple[float, list[int]]:
@@ -467,7 +576,7 @@ def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:
     radius from greedy farthest-point selection of N_n centers, N_0 = 1 and
     N_n = min(m, 2^(2^n))."""
     m = pset.m
-    dist, norms = _distance_matrix(pset, metric), _center_norms(pset, metric)
+    dist, norms = _distance_matrix(pset, metric), _center_norms(pset.points, metric)
     # one cell of every point: step j gives the radius around j + 1 centers
     steps = _farthest_points(dist, norms, np.zeros(m, dtype=np.int64), np.array([m]))[2]
     radii = np.concatenate(steps).tolist()
@@ -567,7 +676,7 @@ def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
     dinf = _distance_matrix(pset, Metric.linf())
     coeffs = [[2.0 ** (k / 2.0), _power(2.0, k / r, f"level weight 2^({k}/{r})")]
               for k in range(len(labels))]
-    return _sup_level_sum(labels, [d2, dinf], coeffs)
+    return float(_sup_level_sum(labels, [d2[None], dinf[None]], coeffs)[0])
 
 
 def tree_to_jsonable(tree: PartitionTree) -> list[list[list[int]]]:

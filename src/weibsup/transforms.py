@@ -18,7 +18,9 @@ from .core import (
     _weighted_l2_matrices,
 )
 from .gamma import (
+    _center_norms,
     _distance_matrix,
+    _greedy_gammas,
     build_greedy_tree,
     exact_small_tree,
     gamma_from_tree,
@@ -90,6 +92,27 @@ class EpiGamma2(NamedTuple):
     spread: float
 
 
+def _greedy_forest(
+    points: np.ndarray, perms: list[np.ndarray], w: np.ndarray, matrices: np.ndarray
+) -> list[float]:
+    """gamma_2 of each T_pi's greedy tree, all built and read as one forest on
+    the shared pass's (K, m, m) ``matrices``.  T_pi's points are formed one
+    T_pi at a time, for their center norms and duplicate groups only."""
+    m, norms, groups = len(points), [], []
+    for k, perm in enumerate(perms):
+        with np.errstate(over="ignore"):  # rejected below, as PointSet rejects it
+            t_pi = np.ascontiguousarray(points[:, perm] * w[None, :])  # PointSet's layout
+        if not np.isfinite(t_pi).all():
+            if k:  # the earlier T_pi are read first, and a level sum of theirs may overflow
+                _greedy_gammas(matrices[:k], np.concatenate(norms), np.concatenate(groups))
+            raise ValueError("all coordinates must be finite")
+        norms.append(_center_norms(t_pi, Metric.l2()))
+        # rows equal as points (adding 0.0 turns -0.0 into +0.0) get one id
+        rows = (t_pi + 0.0).view(np.dtype((np.void, t_pi.itemsize * t_pi.shape[1])))
+        groups.append(k * m + np.unique(rows.ravel(), return_inverse=True)[1].reshape(m, 1))
+    return _greedy_gammas(matrices, np.concatenate(norms), np.concatenate(groups))
+
+
 def epi_gamma2(
     pset: PointSet,
     s: float,
@@ -109,11 +132,15 @@ def epi_gamma2(
     over the squared coordinate differences of ``pset``: |u - v|^2 of T_pi is
     sum_c a_c (t_c - t'_c)^2 with a_{pi(k)} = w_k^2.  These matrices (all
     alive at once, num_perms * m^2 * 8 bytes) may differ from the ones
-    computed from T_pi's own points in the last bits.  Every T_pi of an axis
-    set (see ``core._axis_form``) is an axis set, point i being v_i * w_k on
-    axis k where pi(k) = axis_i, so each T_pi builds its own closed-form matrix
-    with its tree, O(m^2), and only that one is alive.  Permutations run on
-    the calling thread; ``workers`` threads only the proxy's Monte Carlo chunks.
+    computed from T_pi's own points in the last bits.  Under ``greedy_upper``
+    the pass's stack goes whole to one forest of every T_pi's greedy tree,
+    built and read as label arrays (``gamma._greedy_labels``); each value has
+    the bits of that T_pi's own ``build_greedy_tree`` on its matrix, and no
+    T_pi ``PointSet`` is made.  Every T_pi of an axis set (see
+    ``core._axis_form``) is an axis set, point i being v_i * w_k on axis k
+    where pi(k) = axis_i, so each T_pi builds its own closed-form matrix with
+    its tree, O(m^2), and only that one is alive.  Permutations run on the
+    calling thread; ``workers`` threads only the proxy's Monte Carlo chunks.
     """
     if num_perms < 1:
         raise ValueError(f"need num_perms >= 1, got {num_perms}")
@@ -130,16 +157,19 @@ def epi_gamma2(
         for a, perm in zip(sq_weights, perms):
             a[perm] = w * w
         matrices = _weighted_l2_matrices(pset.points, sq_weights)
-    builder = build_greedy_tree if gamma_method == "greedy_upper" else exact_small_tree
-    values = []
-    for i, perm in enumerate(perms):
-        t_pi = apply_permuted_weights(pset, perm, s)
-        if gamma_method == "gaussian_proxy":
-            values.append(gaussian_gamma2_proxy(t_pi, samples, stream.child(i), workers).value)
-        else:
-            if matrices is not None:
-                _distance_matrix(t_pi, l2, matrices[i])
-            values.append(gamma_from_tree(builder(t_pi, l2), 2.0, l2).value)
+    if matrices is not None and gamma_method == "greedy_upper":
+        values = _greedy_forest(pset.points, perms, w, matrices)
+    else:
+        builder = build_greedy_tree if gamma_method == "greedy_upper" else exact_small_tree
+        values = []
+        for i, perm in enumerate(perms):
+            t_pi = apply_permuted_weights(pset, perm, s)
+            if gamma_method == "gaussian_proxy":
+                values.append(gaussian_gamma2_proxy(t_pi, samples, stream.child(i), workers).value)
+            else:
+                if matrices is not None:
+                    _distance_matrix(t_pi, l2, matrices[i])
+                values.append(gamma_from_tree(builder(t_pi, l2), 2.0, l2).value)
     # the mean of the values times the 2^-e that puts the largest in [1/2, 1), whose
     # sum cannot overflow where theirs can, scaled back
     scaled, exp = _unit_scaled(values)

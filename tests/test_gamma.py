@@ -434,6 +434,80 @@ class TestAdmissibilityChecker:
         assert rejection(validate_admissible, tree) == expected
 
 
+def valid_forest() -> tuple[np.ndarray, np.ndarray]:
+    """Three greedy trees of 20 points each, built as one forest: their rows
+    (tree k holds points 20k to 20k + 19) and (levels, 60) labels."""
+    sets = [random_set(seed, 20, 3).points for seed in (61, 62, 63)]
+    dist = np.stack([pairwise_distance_matrix(pts, L2) for pts in sets])
+    points = np.vstack(sets)
+    labels = weibsup.gamma._greedy_labels(dist, weibsup.gamma._center_norms(points, L2), points)[0]
+    return points, labels
+
+
+def shared_cell_point(row: np.ndarray, points) -> int:
+    """A point among ``points`` whose cell in ``row`` has another point."""
+    return next(int(p) for p in points if np.count_nonzero(row == row[p]) > 1)
+
+
+class TestForestLabelChecker:
+    """Each way of corrupting a valid forest's labels is named by the checker."""
+
+    @staticmethod
+    def rejection(points: np.ndarray, labels: np.ndarray) -> str:
+        with pytest.raises(NotAdmissibleError) as info:
+            weibsup.gamma._check_labels(points, labels, 3)
+        return str(info.value)
+
+    def test_valid_forest_passes(self):
+        points, labels = valid_forest()
+        assert len(labels) == 4 and labels[-1].max() == 59  # singletons at level 3
+        weibsup.gamma._check_labels(points, labels, 3)
+
+    def test_level_one_cell_spanning_two_trees(self):
+        points, labels = valid_forest()
+        p = shared_cell_point(labels[1], range(20, 40))  # a tree-1 point joins a tree-0 cell
+        labels[1, p] = labels[1, 0]
+        assert self.rejection(points, labels) == (
+            f"level 1 cell {labels[1, 0]} is not nested in a single parent")
+
+    def test_cell_with_two_parents(self):
+        points, labels = valid_forest()
+        p = shared_cell_point(labels[2], range(20))
+        other = next(q for q in range(20) if labels[1, q] != labels[1, p])
+        labels[2, p] = labels[2, other]
+        assert self.rejection(points, labels) == (
+            f"level 2 cell {labels[2, other]} is not nested in a single parent")
+
+    def test_tree_over_its_level_budget(self):
+        points, labels = valid_forest()
+        labels = labels[:2]  # tree 0's four level-1 cells, and a fifth split off
+        labels[1, shared_cell_point(labels[1], range(20))] = labels[1].max() + 1
+        assert self.rejection(points, labels) == (
+            "level 1 has 5 cells in tree 0, over the budget 2^(2^1) = 4")
+
+    def test_skipped_cell_number(self):
+        points, labels = valid_forest()
+        labels[2, labels[2] >= 3] += 1
+        assert self.rejection(points, labels) == (
+            f"level 2 does not number its cells 0..{labels[2].max()}")
+
+    def test_final_cell_of_two_distinct_points(self):
+        points, labels = valid_forest()
+        # two final singletons of one parent merge, and the cells are renumbered
+        p = shared_cell_point(labels[2], range(60))
+        q = next(q for q in range(60) if q != p and labels[2, q] == labels[2, p])
+        labels[3, q] = labels[3, p]
+        labels[3] = np.unique(labels[3], return_inverse=True)[1]
+        assert self.rejection(points, labels) == (
+            f"final level cell {labels[3, p]} is neither a singleton nor a zero-diameter "
+            "duplicate group")
+
+    def test_level_zero_not_one_cell_per_tree(self):
+        points, labels = valid_forest()
+        labels[0] = 0
+        assert self.rejection(points, labels) == "level 0 must be one cell per tree"
+
+
 class TestGammaFromTree:
     def test_two_point_distance(self):
         ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
@@ -791,15 +865,26 @@ class TestDistanceMatrixReuse:
             sets.append(original_apply(pset, perm, s))
             return sets[-1]
 
+        forests: list[np.ndarray] = []
+        original_labels = weibsup.gamma._greedy_labels
+
+        def keeping_labels(dist, norms, points):
+            forests.append(dist)
+            return original_labels(dist, norms, points)
+
         monkeypatch.setattr(weibsup.transforms, "_weighted_l2_matrices", counting_pass)
         monkeypatch.setattr(weibsup.transforms, "apply_permuted_weights", keeping_apply)
+        monkeypatch.setattr(weibsup.gamma, "_greedy_labels", keeping_labels)
         epi_gamma2(random_set(92, 24, 6), 2.0, 5, "greedy_upper", RandomStream(9))
         epi_gamma2(random_set(93, 8, 4), 1.0, 3, "exact_small", RandomStream(9))
         epi_gamma2(random_set(94, 8, 4), 1.0, 2, "gaussian_proxy", RandomStream(9), 200)
         assert len(built) == 0
         assert [p.shape for p in passes] == [(5, 24, 24), (3, 8, 8)]
-        assert len(sets) == 10 and all(L2 not in tpi._distances for tpi in sets[8:])
-        for tpi, dist in zip(sets, [*passes[0], *passes[1]]):
+        # the greedy T_pi are one forest on the pass's stack itself, with no T_pi set
+        assert len(forests) == 1 and np.shares_memory(forests[0], passes[0])
+        assert not forests[0].flags.writeable
+        assert len(sets) == 5 and all(L2 not in tpi._distances for tpi in sets[3:])
+        for tpi, dist in zip(sets, passes[1]):
             assert np.shares_memory(tpi._distances[L2], dist)
             assert not tpi._distances[L2].flags.writeable
             with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from weibsup import transforms
+from weibsup import gamma, transforms
 from weibsup.core import (
     Metric,
     PointSet,
@@ -177,21 +177,26 @@ class TestEpiGamma2:
 
     @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
     def test_trees_are_built_and_read_on_the_calling_thread(self, method, monkeypatch):
-        threads = []
+        calls = []
 
-        def recording(fn):
+        def recording(name, fn):
             def recorded(*args):
-                threads.append(threading.get_ident())
+                calls.append((name, threading.get_ident()))
                 return fn(*args)
 
             return recorded
 
         for name in ("build_greedy_tree", "gamma_from_tree"):
-            monkeypatch.setattr(transforms, name, recording(getattr(transforms, name)))
+            monkeypatch.setattr(transforms, name, recording(name, getattr(transforms, name)))
+        if method == "greedy_upper":
+            # a dense set's trees are one forest, built once and read once
+            for name in ("_greedy_labels", "_sup_level_sum"):
+                monkeypatch.setattr(gamma, name, recording(name, getattr(gamma, name)))
         ps = PointSet(np.random.default_rng(9).standard_normal((8, 5)))
         epi_gamma2(ps, 1.0, 6, method, RandomStream(10), workers=3)
-        calls = 12 if method == "greedy_upper" else 6  # a tree and its gamma, or only gamma
-        assert threads == [threading.get_ident()] * calls
+        expected = ["_greedy_labels", "_sup_level_sum"] if method == "greedy_upper" else (
+            ["gamma_from_tree"] * 6)  # only each T_pi's gamma: exact_small_tree is not wrapped
+        assert calls == [(name, threading.get_ident()) for name in expected]
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
@@ -310,3 +315,82 @@ def test_spread_is_infinite_where_only_some_permuted_sets_collapse():
     pset = PointSet([[0.0, 0.0], [1.0, 0.0]])
     epi = epi_gamma2(pset, 2.0, 6, "greedy_upper", RandomStream(0))
     assert epi.spread == math.inf and epi.mean > 0.0
+
+
+def per_tree_values(points, perms, w, matrices):
+    """Each T_pi's greedy gamma_2 as a tree of its own: the one-tree builder and
+    gamma_from_tree on a T_pi set holding its matrix from the shared pass."""
+    values = []
+    for perm, dist in zip(perms, matrices):
+        t_pi = PointSet(points[:, perm] * w[None, :])
+        gamma._distance_matrix(t_pi, L2, dist)
+        values.append(gamma.gamma_from_tree(gamma.build_greedy_tree(t_pi, L2), 2.0, L2).value)
+    return values
+
+
+def forest_sets() -> dict[str, PointSet]:
+    rng = np.random.default_rng(41)
+    steps = np.array([[i, i % 3, 0.0] for i in range(12)])  # one coordinate orders the points
+    return {
+        "gaussian_cloud": InstanceFamily.from_spec("gaussian_cloud(6,40,1.0)").materialize(),
+        # exact ties; w_n = 0 collapses points and writes -0.0 beside +0.0
+        "hypercube_subset": InstanceFamily.from_spec("hypercube_subset(8,64)").materialize(),
+        "duplicate_rows": PointSet(rng.standard_normal((7, 4))[rng.integers(0, 7, 30)]),
+        "m1": PointSet([[1.0, -2.0, 3.0]]),
+        "n1": PointSet(rng.standard_normal((15, 1))),
+        # a permutation that gives coordinate 0 the weight w_n = 0 collapses it early
+        "depths": PointSet(np.vstack([steps, -steps])),
+        "underflow": PointSet([[1.0, 0.0], [1.0, 1e-300]]),  # distinct, at l2 distance 0
+    }
+
+
+class TestGreedyForest:
+    """A dense set's T_pi trees, built and read as one forest, keep the bits of
+    each T_pi's own tree."""
+
+    @pytest.mark.filterwarnings("ignore:infinite weight exponent:UserWarning")
+    @pytest.mark.parametrize("name", list(forest_sets()))
+    @pytest.mark.parametrize("s", [2.0 / 3.0, 2.0, math.inf])
+    @pytest.mark.parametrize("num_perms", [1, 3, 20])
+    def test_forest_matches_the_per_tree_reference(self, name, s, num_perms, monkeypatch):
+        ps = forest_sets()[name]
+        forest = epi_gamma2(ps, s, num_perms, "greedy_upper", RandomStream(13))
+        monkeypatch.setattr(transforms, "_greedy_forest", per_tree_values)
+        reference = epi_gamma2(ps, s, num_perms, "greedy_upper", RandomStream(13))
+        assert [x.hex() for x in forest] == [x.hex() for x in reference]
+
+    def test_trees_stop_at_different_depths(self):
+        # under the stream above, some T_pi of the "depths" set finish while others split
+        ps, rng = forest_sets()["depths"], RandomStream(13).generator()
+        trees = [gamma.build_greedy_tree(apply_permuted_weights(ps, rng.permutation(3), 2.0), L2)
+                 for _ in range(20)]
+        assert len({len(tree.levels) for tree in trees}) > 1
+
+    def test_a_finished_tree_adds_nothing_past_its_depth(self, monkeypatch):
+        # rows one ulp apart in coordinate 0 can meet in T_pi, where w_k < 1 rounds their
+        # products together: a duplicate group whose matrix distance is not 0.  Its tree
+        # reads that cell at its final level only, not at the levels the forest repeats.
+        a, b, c = 1.9771693095448233, 1.9818938919157054, 1.9976467892017766
+        ps = PointSet([[a, c, 1.7584113477828882], [b, 0, 0], [0, 1.4436294870404078, 0],
+                       [0, 1.5034927090072887, 1.41439871355086],
+                       [np.nextafter(a, 2), c, 1.7584113477828882]]
+                      + [[np.nextafter(b, 2), 0, 0]] * 3)
+        forest = epi_gamma2(ps, 2.0, 6, "greedy_upper", RandomStream(194))
+        monkeypatch.setattr(transforms, "_greedy_forest", per_tree_values)
+        reference = epi_gamma2(ps, 2.0, 6, "greedy_upper", RandomStream(194))
+        assert [x.hex() for x in forest] == [x.hex() for x in reference]
+
+    @pytest.mark.parametrize("seed", [0, 1])  # T_pi 0 overflows, or T_pi 1 after a finite one
+    def test_overflowing_t_pi_coordinate_raises_after_the_pass(self, seed):
+        # coordinates near the float64 edge differ little, so the pass is finite; a
+        # T_pi that gives coordinate 0 the weight w_1 > 1 overflows
+        near = PointSet([[1.7e308 * (1 - 2.0**-k), a, b]
+                         for k, a, b in ((60, 0, 0), (40, 0, 1), (39, 1, 0), (38, 1, 1))])
+        with pytest.raises(ValueError, match="^all coordinates must be finite$"):
+            epi_gamma2(near, 2.0 / 3.0, 4, "greedy_upper", RandomStream(seed))
+
+    def test_overflowing_weighted_distance_raises_the_pass_message(self):
+        far = PointSet([[1.7e308 * (1 - 2.0**-k), a, b]
+                        for k, a, b in ((0, 0, 0), (40, 0, 1), (39, 1, 0), (38, 1, 1))])
+        with pytest.raises(ValueError, match="^l2 distances between these points overflow"):
+            epi_gamma2(far, 2.0 / 3.0, 4, "greedy_upper", RandomStream(0))
