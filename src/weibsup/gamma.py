@@ -93,14 +93,11 @@ def _level_budget(n: int) -> int | None:
     return None if 2**n >= 64 else 2 ** (2**n)
 
 
-def _distance_matrix(
-    pset: PointSet, metric: Metric, given: np.ndarray | None = None
-) -> np.ndarray:
-    """The set's read-only distance matrix, kept on the set: built once per
-    metric, or ``given`` when a caller computed it for these points already."""
+def _distance_matrix(pset: PointSet, metric: Metric) -> np.ndarray:
+    """The set's read-only distance matrix, kept on the set: built once per metric."""
     dist = pset._distances.get(metric)
     if dist is None:
-        dist = pairwise_distance_matrix(pset.points, metric) if given is None else given
+        dist = pairwise_distance_matrix(pset.points, metric)
         dist.flags.writeable = False
         pset._distances[metric] = dist
     return dist
@@ -500,14 +497,6 @@ def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaV
     return GammaValue(alpha=alpha, value=value, method="greedy_upper")
 
 
-def _greedy_gammas(dist: np.ndarray, norms: np.ndarray, points: np.ndarray) -> list[float]:
-    """gamma_2 of the greedy tree of each of K sets of m points, built, checked
-    and read as one forest (the arguments are ``_greedy_labels``')."""
-    labels, depths = _greedy_labels(dist, norms, points)
-    _check_labels(points, labels, len(dist))
-    return _level_gammas(labels, dist, 2.0, depths).tolist()
-
-
 def _best_partition_max_diam(dist: np.ndarray, max_blocks: int) -> tuple[float, list[int]]:
     """Min over partitions into at most max_blocks blocks of the max cell diameter.
 
@@ -558,17 +547,31 @@ def gamma_exact_small(pset: PointSet, metric: Metric, alpha: float) -> GammaValu
     return GammaValue(alpha=alpha, value=value, method="exact_small")
 
 
-def exact_small_tree(pset: PointSet, metric: Metric) -> PartitionTree:
-    """An optimal admissible tree realizing gamma_exact_small."""
-    if pset.m > 8:
-        raise ValueError(f"exact enumeration is limited to m <= 8 points, got {pset.m}")
-    m = pset.m
-    rows = [np.zeros(m, dtype=np.int64)]
+def _check_exact_size(m: int) -> None:
+    if m > 8:
+        raise ValueError(f"exact enumeration is limited to m <= 8 points, got {m}")
+
+
+def _exact_small_labels(dist: np.ndarray) -> np.ndarray:
+    """The (levels, K * m) labels of a forest of optimal trees of m <= 8 points, one
+    per matrix of the (K, m, m) stack ``dist`` (see ``_greedy_labels``): past 4
+    points, level 1 cuts each tree into at most 4 cells of least max diameter."""
+    trees, m = dist.shape[:2]
+    rows = [np.arange(trees * m) // m]
     if m > 4:
-        rows.append(np.array(_best_partition_max_diam(_distance_matrix(pset, metric), 4)[1]))
+        blocks = np.concatenate([_best_partition_max_diam(d, 4)[1] for d in dist])
+        rows.append(np.unique(rows[0] * 4 + blocks, return_inverse=True)[1])  # tree by tree
     if m > 1:  # past 4 points, one of the at most 4 level-1 cells holds two
-        rows.append(np.arange(m))
-    return _tree(pset, rows)
+        rows.append(np.arange(trees * m))
+    return np.array(rows)
+
+
+def exact_small_tree(pset: PointSet, metric: Metric) -> PartitionTree:
+    """An optimal admissible tree realizing gamma_exact_small: the one-tree forest
+    of ``_exact_small_labels``, which reads a matrix only past 4 points."""
+    _check_exact_size(pset.m)
+    dist = _distance_matrix(pset, metric) if pset.m > 4 else np.zeros((pset.m, pset.m))
+    return _tree(pset, _exact_small_labels(dist[None]))
 
 
 def dudley_bound(pset: PointSet, metric: Metric) -> GammaValue:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -13,19 +13,23 @@ from .core import (
     Metric,
     PointSet,
     RandomStream,
+    _axis_distance_matrix,
     _axis_form,
     _unit_scaled,
     _weighted_l2_matrices,
 )
 from .gamma import (
     _center_norms,
-    _distance_matrix,
-    _greedy_gammas,
-    build_greedy_tree,
-    exact_small_tree,
-    gamma_from_tree,
+    _check_exact_size,
+    _check_labels,
+    _exact_small_labels,
+    _greedy_labels,
+    _level_gammas,
     gaussian_gamma2_proxy,
 )
+# nothing here calls them, but benchmarks/tracing.py wraps these bindings and fails
+# on a name the module does not define
+from .gamma import build_greedy_tree, gamma_from_tree  # noqa: F401
 
 __all__ = [
     "WeightVector",
@@ -92,25 +96,46 @@ class EpiGamma2(NamedTuple):
     spread: float
 
 
-def _greedy_forest(
-    points: np.ndarray, perms: list[np.ndarray], w: np.ndarray, matrices: np.ndarray
-) -> list[float]:
-    """gamma_2 of each T_pi's greedy tree, all built and read as one forest on
-    the shared pass's (K, m, m) ``matrices``.  T_pi's points are formed one
-    T_pi at a time, for their center norms and duplicate groups only."""
-    m, norms, groups = len(points), [], []
-    for k, perm in enumerate(perms):
+def _t_pi_batches(
+    pset: PointSet, perms: list[np.ndarray], w: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The T_pi of ``perms`` in batches of K trees of m points: their (K, m, m)
+    l2 stack, K * m center norms, and K * m rows equal exactly where the points
+    are, point P = k * m + i being point i of tree k.  A dense set is one batch
+    on the shared pass, its T_pi formed one at a time for their norms and
+    duplicate groups only.  An axis set (see ``core._axis_form``) is one T_pi
+    per batch, from its axis form: point i is v_i * w_k on axis k =
+    pi^-1(axis_i), or the zero point (axis 0, value +0) where that is 0.  A T_pi
+    with a coordinate that overflows raises, as its PointSet would, once the
+    T_pi before it are yielded."""
+    l2, axis_form = Metric.l2(), _axis_form(pset.points)
+    if axis_form is None:
+        sq_weights = np.stack([(w * w)[np.argsort(perm)] for perm in perms])  # a_{pi(k)} = w_k^2
+        matrices, norms, groups = _weighted_l2_matrices(pset.points, sq_weights), [], []
+        for k, perm in enumerate(perms):
+            with np.errstate(over="ignore"):  # rejected below, as PointSet rejects it
+                t_pi = np.ascontiguousarray(pset.points[:, perm] * w[None, :])  # PointSet's layout
+            if not np.isfinite(t_pi).all():
+                if k:
+                    yield matrices[:k], np.concatenate(norms), np.concatenate(groups)
+                raise ValueError("all coordinates must be finite")
+            norms.append(_center_norms(t_pi, l2))
+            # rows equal as points (adding 0.0 turns -0.0 into +0.0) get one id
+            rows = (t_pi + 0.0).view(np.dtype((np.void, t_pi.itemsize * t_pi.shape[1])))
+            groups.append(k * pset.m + np.unique(rows.ravel(), return_inverse=True)[1][:, None])
+        yield matrices, np.concatenate(norms), np.concatenate(groups)
+        return
+    axes, v = axis_form
+    for perm in perms:
+        t_axes = np.argsort(perm)[axes]
         with np.errstate(over="ignore"):  # rejected below, as PointSet rejects it
-            t_pi = np.ascontiguousarray(points[:, perm] * w[None, :])  # PointSet's layout
-        if not np.isfinite(t_pi).all():
-            if k:  # the earlier T_pi are read first, and a level sum of theirs may overflow
-                _greedy_gammas(matrices[:k], np.concatenate(norms), np.concatenate(groups))
+            t_v = v * w[t_axes]
+        if not np.isfinite(t_v).all():
             raise ValueError("all coordinates must be finite")
-        norms.append(_center_norms(t_pi, Metric.l2()))
-        # rows equal as points (adding 0.0 turns -0.0 into +0.0) get one id
-        rows = (t_pi + 0.0).view(np.dtype((np.void, t_pi.itemsize * t_pi.shape[1])))
-        groups.append(k * m + np.unique(rows.ravel(), return_inverse=True)[1].reshape(m, 1))
-    return _greedy_gammas(matrices, np.concatenate(norms), np.concatenate(groups))
+        zero = t_v == 0.0
+        t_axes[zero], t_v[zero] = 0, 0.0
+        yield (_axis_distance_matrix(t_axes, t_v, l2)[None], _center_norms(t_v[:, None], l2),
+               np.column_stack([t_axes, t_v]))
 
 
 def epi_gamma2(
@@ -128,48 +153,33 @@ def epi_gamma2(
     estimator substreams are per-permutation.  Returns the mean and the
     max/min spread across permutations (1 when all values are zero).
 
-    On a dense set the tree methods read every T_pi's l2 matrix from one pass
-    over the squared coordinate differences of ``pset``: |u - v|^2 of T_pi is
-    sum_c a_c (t_c - t'_c)^2 with a_{pi(k)} = w_k^2.  These matrices (all
-    alive at once, num_perms * m^2 * 8 bytes) may differ from the ones
-    computed from T_pi's own points in the last bits.  Under ``greedy_upper``
-    the pass's stack goes whole to one forest of every T_pi's greedy tree,
-    built and read as label arrays (``gamma._greedy_labels``); each value has
-    the bits of that T_pi's own ``build_greedy_tree`` on its matrix, and no
-    T_pi ``PointSet`` is made.  Every T_pi of an axis set (see
-    ``core._axis_form``) is an axis set, point i being v_i * w_k on axis k
-    where pi(k) = axis_i, so each T_pi builds its own closed-form matrix with
-    its tree, O(m^2), and only that one is alive.  Permutations run on the
+    The tree methods build, check and read every T_pi tree on label arrays,
+    one forest per batch of ``_t_pi_batches``, each value with the bits of its
+    T_pi's own tree on its matrix; no T_pi ``PointSet`` is made.  A dense set's
+    matrices, all alive at once, come from one pass over the squared coordinate
+    differences of ``pset`` (|u - v|^2 of T_pi is sum_c a_c (t_c - t'_c)^2)
+    and may differ from T_pi's own in the last bits.  Permutations run on the
     calling thread; ``workers`` threads only the proxy's Monte Carlo chunks.
     """
     if num_perms < 1:
         raise ValueError(f"need num_perms >= 1, got {num_perms}")
     if gamma_method not in _EPI_METHODS:
         raise ValueError(f"unknown gamma method {gamma_method!r}")
+    if gamma_method == "exact_small":
+        _check_exact_size(pset.m)
     rng = stream.generator()
     perms = [rng.permutation(pset.dim) for _ in range(num_perms)]
-    l2 = Metric.l2()
-    matrices = None
-    # the proxy reads no distance matrix, and an axis set's T_pi build their own
-    if gamma_method != "gaussian_proxy" and _axis_form(pset.points) is None:
-        w = weights(pset.dim, s).w
-        sq_weights = np.empty((num_perms, pset.dim))
-        for a, perm in zip(sq_weights, perms):
-            a[perm] = w * w
-        matrices = _weighted_l2_matrices(pset.points, sq_weights)
-    if matrices is not None and gamma_method == "greedy_upper":
-        values = _greedy_forest(pset.points, perms, w, matrices)
+    if gamma_method == "gaussian_proxy":
+        values = [gaussian_gamma2_proxy(apply_permuted_weights(pset, perm, s), samples,
+                                        stream.child(i), workers).value
+                  for i, perm in enumerate(perms)]
     else:
-        builder = build_greedy_tree if gamma_method == "greedy_upper" else exact_small_tree
         values = []
-        for i, perm in enumerate(perms):
-            t_pi = apply_permuted_weights(pset, perm, s)
-            if gamma_method == "gaussian_proxy":
-                values.append(gaussian_gamma2_proxy(t_pi, samples, stream.child(i), workers).value)
-            else:
-                if matrices is not None:
-                    _distance_matrix(t_pi, l2, matrices[i])
-                values.append(gamma_from_tree(builder(t_pi, l2), 2.0, l2).value)
+        for dist, norms, rows in _t_pi_batches(pset, perms, weights(pset.dim, s).w):
+            labels, depths = (_greedy_labels(dist, norms, rows) if gamma_method == "greedy_upper"
+                              else (_exact_small_labels(dist), None))
+            _check_labels(rows, labels, len(dist))
+            values += _level_gammas(labels, dist, 2.0, depths).tolist()
     # the mean of the values times the 2^-e that puts the largest in [1/2, 1), whose
     # sum cannot overflow where theirs can, scaled back
     scaled, exp = _unit_scaled(values)

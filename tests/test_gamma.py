@@ -865,30 +865,34 @@ class TestDistanceMatrixReuse:
             sets.append(original_apply(pset, perm, s))
             return sets[-1]
 
-        forests: list[np.ndarray] = []
-        original_labels = weibsup.gamma._greedy_labels
+        forests: list[tuple[str, np.ndarray]] = []
 
-        def keeping_labels(dist, norms, points):
-            forests.append(dist)
-            return original_labels(dist, norms, points)
+        def keeping(name):
+            original = getattr(weibsup.transforms, name)
+
+            def kept(dist, *args):
+                forests.append((name, dist))
+                return original(dist, *args)
+
+            return kept
 
         monkeypatch.setattr(weibsup.transforms, "_weighted_l2_matrices", counting_pass)
         monkeypatch.setattr(weibsup.transforms, "apply_permuted_weights", keeping_apply)
-        monkeypatch.setattr(weibsup.gamma, "_greedy_labels", keeping_labels)
+        for name in ("_greedy_labels", "_exact_small_labels"):
+            monkeypatch.setattr(weibsup.transforms, name, keeping(name))
         epi_gamma2(random_set(92, 24, 6), 2.0, 5, "greedy_upper", RandomStream(9))
         epi_gamma2(random_set(93, 8, 4), 1.0, 3, "exact_small", RandomStream(9))
         epi_gamma2(random_set(94, 8, 4), 1.0, 2, "gaussian_proxy", RandomStream(9), 200)
         assert len(built) == 0
         assert [p.shape for p in passes] == [(5, 24, 24), (3, 8, 8)]
-        # the greedy T_pi are one forest on the pass's stack itself, with no T_pi set
-        assert len(forests) == 1 and np.shares_memory(forests[0], passes[0])
-        assert not forests[0].flags.writeable
-        assert len(sets) == 5 and all(L2 not in tpi._distances for tpi in sets[3:])
-        for tpi, dist in zip(sets, passes[1]):
-            assert np.shares_memory(tpi._distances[L2], dist)
-            assert not tpi._distances[L2].flags.writeable
+        # the greedy and the exact T_pi are each one forest on the pass's stack itself,
+        # with no T_pi set: only the proxy's T_pi are sets, and they hold no matrix
+        assert [name for name, _ in forests] == ["_greedy_labels", "_exact_small_labels"]
+        for (_, dist), stack in zip(forests, passes):
+            assert dist is stack and not dist.flags.writeable
             with pytest.raises(ValueError):
-                tpi._distances[L2][0, 0] = 1.0
+                dist[0, 0, 0] = 1.0
+        assert len(sets) == 2 and all(L2 not in tpi._distances for tpi in sets)
 
 
 class TestGaussianProxy:

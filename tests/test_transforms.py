@@ -14,6 +14,7 @@ from weibsup.core import (
     Metric,
     PointSet,
     RandomStream,
+    _axis_form,
     _weighted_l2_matrices,
     pairwise_distance_matrix,
 )
@@ -186,16 +187,14 @@ class TestEpiGamma2:
 
             return recorded
 
-        for name in ("build_greedy_tree", "gamma_from_tree"):
+        # a dense set's trees are one forest, built once and read once, and no tree
+        # of its own is built or read
+        builder = "_greedy_labels" if method == "greedy_upper" else "_exact_small_labels"
+        for name in ("build_greedy_tree", "gamma_from_tree", builder, "_level_gammas"):
             monkeypatch.setattr(transforms, name, recording(name, getattr(transforms, name)))
-        if method == "greedy_upper":
-            # a dense set's trees are one forest, built once and read once
-            for name in ("_greedy_labels", "_sup_level_sum"):
-                monkeypatch.setattr(gamma, name, recording(name, getattr(gamma, name)))
         ps = PointSet(np.random.default_rng(9).standard_normal((8, 5)))
         epi_gamma2(ps, 1.0, 6, method, RandomStream(10), workers=3)
-        expected = ["_greedy_labels", "_sup_level_sum"] if method == "greedy_upper" else (
-            ["gamma_from_tree"] * 6)  # only each T_pi's gamma: exact_small_tree is not wrapped
+        expected = [builder, "_level_gammas"]
         assert calls == [(name, threading.get_ident()) for name in expected]
 
     def test_method_validation(self):
@@ -233,15 +232,15 @@ class TestAxisSetPermutations:
 
     @staticmethod
     def read_matrices(monkeypatch) -> list[np.ndarray]:
+        """Each T_pi's matrix, as the tree reader gets it."""
         read: list[np.ndarray] = []
-        original = transforms.gamma_from_tree
+        original = transforms._level_gammas
 
-        def recording(tree, alpha, metric):
-            value = original(tree, alpha, metric)
-            read.append(tree.pointset._distances[metric])
-            return value
+        def recording(labels, dist, alpha, depths=None):
+            read.extend(dist)
+            return original(labels, dist, alpha, depths)
 
-        monkeypatch.setattr(transforms, "gamma_from_tree", recording)
+        monkeypatch.setattr(transforms, "_level_gammas", recording)
         return read
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
@@ -275,18 +274,19 @@ class TestAxisSetPermutations:
         out = epi_gamma2(pset, 1.0, 4, method, RandomStream(42))
         assert out.mean > 0.0 and len(read) == 4
 
-    def test_one_matrix_alive_at_a_time(self):
-        # the shared pass would keep all 20 matrices, 10 MiB; what remains is one
-        # T_pi's m x n points (n = m here) and their copy, its matrix and row buffer
-        m = 256
+    @pytest.mark.parametrize("m, num_perms, matrices", [(256, 20, 5), (1024, 4, 3)])
+    def test_one_matrix_alive_at_a_time(self, m, num_perms, matrices):
+        # the shared pass would keep every T_pi's matrix (10 MiB at m = 256, K = 20);
+        # what remains is one T_pi's matrix and its row buffer, and the tree's
+        # labels and read blocks, which weigh most at small m.  No m x n T_pi is formed.
         pset = InstanceFamily.from_spec(f"scaled_basis({m},sqrt)").materialize()
         tracemalloc.start()
         try:
-            epi_gamma2(pset, 2.0, 20, "greedy_upper", RandomStream(43))
+            epi_gamma2(pset, 2.0, num_perms, "greedy_upper", RandomStream(43))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * m * m * 8
+        assert peak < matrices * m * m * 8
 
     @settings(max_examples=6, deadline=None)
     @given(k=st.integers(-1000, 1015))
@@ -317,15 +317,45 @@ def test_spread_is_infinite_where_only_some_permuted_sets_collapse():
     assert epi.spread == math.inf and epi.mean > 0.0
 
 
-def per_tree_values(points, perms, w, matrices):
-    """Each T_pi's greedy gamma_2 as a tree of its own: the one-tree builder and
-    gamma_from_tree on a T_pi set holding its matrix from the shared pass."""
+def per_tree_values(points, perms, w, matrices, builder=gamma.build_greedy_tree):
+    """Each T_pi's gamma_2 as a tree of its own: the one-tree builder and
+    gamma_from_tree on a T_pi set holding its matrix from the shared pass, or
+    building its own where that is None."""
     values = []
     for perm, dist in zip(perms, matrices):
         t_pi = PointSet(points[:, perm] * w[None, :])
-        gamma._distance_matrix(t_pi, L2, dist)
-        values.append(gamma.gamma_from_tree(gamma.build_greedy_tree(t_pi, L2), 2.0, L2).value)
+        if dist is not None:
+            t_pi._distances[L2] = dist
+        values.append(gamma.gamma_from_tree(builder(t_pi, L2), 2.0, L2).value)
     return values
+
+
+def read_values(monkeypatch) -> list[float]:
+    """Each T_pi's value, as the tree reader gives it to epi_gamma2."""
+    values: list[float] = []
+    original = transforms._level_gammas
+
+    def recording(labels, dist, alpha, depths=None):
+        out = original(labels, dist, alpha, depths)
+        values.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(transforms, "_level_gammas", recording)
+    return values
+
+
+def reference_values(ps, s, num_perms, seed, builder=gamma.build_greedy_tree):
+    """per_tree_values on epi_gamma2's permutations: on the shared pass's matrices
+    for a dense set, and on each T_pi's own for an axis set."""
+    n, rng = ps.dim, RandomStream(seed).generator()
+    perms, w = [rng.permutation(n) for _ in range(num_perms)], weights(n, s).w
+    matrices = [None] * num_perms
+    if _axis_form(ps.points) is None:
+        sq_weights = np.zeros((num_perms, n))
+        for a, perm in zip(sq_weights, perms):
+            a[perm] = w * w
+        matrices = _weighted_l2_matrices(ps.points, sq_weights)
+    return per_tree_values(ps.points, perms, w, matrices, builder)
 
 
 def forest_sets() -> dict[str, PointSet]:
@@ -353,10 +383,9 @@ class TestGreedyForest:
     @pytest.mark.parametrize("s", [2.0 / 3.0, 2.0, math.inf])
     @pytest.mark.parametrize("num_perms", [1, 3, 20])
     def test_forest_matches_the_per_tree_reference(self, name, s, num_perms, monkeypatch):
-        ps = forest_sets()[name]
-        forest = epi_gamma2(ps, s, num_perms, "greedy_upper", RandomStream(13))
-        monkeypatch.setattr(transforms, "_greedy_forest", per_tree_values)
-        reference = epi_gamma2(ps, s, num_perms, "greedy_upper", RandomStream(13))
+        ps, forest = forest_sets()[name], read_values(monkeypatch)
+        epi_gamma2(ps, s, num_perms, "greedy_upper", RandomStream(13))
+        reference = reference_values(ps, s, num_perms, 13)
         assert [x.hex() for x in forest] == [x.hex() for x in reference]
 
     def test_trees_stop_at_different_depths(self):
@@ -375,9 +404,9 @@ class TestGreedyForest:
                        [0, 1.5034927090072887, 1.41439871355086],
                        [np.nextafter(a, 2), c, 1.7584113477828882]]
                       + [[np.nextafter(b, 2), 0, 0]] * 3)
-        forest = epi_gamma2(ps, 2.0, 6, "greedy_upper", RandomStream(194))
-        monkeypatch.setattr(transforms, "_greedy_forest", per_tree_values)
-        reference = epi_gamma2(ps, 2.0, 6, "greedy_upper", RandomStream(194))
+        forest = read_values(monkeypatch)
+        epi_gamma2(ps, 2.0, 6, "greedy_upper", RandomStream(194))
+        reference = reference_values(ps, 2.0, 6, 194)
         assert [x.hex() for x in forest] == [x.hex() for x in reference]
 
     @pytest.mark.parametrize("seed", [0, 1])  # T_pi 0 overflows, or T_pi 1 after a finite one
@@ -389,8 +418,145 @@ class TestGreedyForest:
         with pytest.raises(ValueError, match="^all coordinates must be finite$"):
             epi_gamma2(near, 2.0 / 3.0, 4, "greedy_upper", RandomStream(seed))
 
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    @pytest.mark.parametrize("seed", [14, 19])  # T_pi 3 or 1 overflows a coordinate
+    def test_an_earlier_t_pi_level_sum_overflow_is_raised_first(self, method, seed):
+        # coordinate 0 differs little near the float64 edge and the others by 0.9e308:
+        # the pass is finite, and the T_pi read before the overflowing one is not
+        ps = PointSet([[1.7e308 * (1 - 2.0**-(40 + i))] + list(bits)
+                       for i, bits in enumerate(itertools.product([0.0, 0.9e308], repeat=3))])
+        with pytest.raises(ValueError, match="^the chaining level sum overflows float64$"):
+            epi_gamma2(ps, 2.0, 4, method, RandomStream(seed))
+
     def test_overflowing_weighted_distance_raises_the_pass_message(self):
         far = PointSet([[1.7e308 * (1 - 2.0**-k), a, b]
                         for k, a, b in ((0, 0, 0), (40, 0, 1), (39, 1, 0), (38, 1, 1))])
         with pytest.raises(ValueError, match="^l2 distances between these points overflow"):
             epi_gamma2(far, 2.0 / 3.0, 4, "greedy_upper", RandomStream(0))
+
+
+def axis_edge_sets() -> dict[str, PointSet]:
+    shared = [[2.0, 0, 0, 0], [-3.0, 0, 0, 0], [0, 1.5, 0, 0], [0, 0, 0, -0.5], [0, 0, 0.25, 0]]
+    return {
+        "zero_point": PointSet(shared + [[0.0] * 4]),
+        # -0.0 entries, of a zero point and beside a point's nonzero coordinate
+        "negative_zero": PointSet([[-0.0, 0, 0, 0], [0, -0.0, 0, 1.0], [0, 0, -0.0, -2.0],
+                                   [0.5, -0.0, 0, 0], [0, 0, 0.25, -0.0]]),
+        # whichever axis pi gives w_n = 0 collapses its points onto the zero point
+        "collapse": PointSet([[1.0, 0, 0], [2.0, 0, 0], [-3.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
+        "huge": PointSet(np.array(shared) * 1e300),
+        "tiny": PointSet(np.array(shared) * 1e-300),
+        "basis": InstanceFamily.from_spec("scaled_basis(12,sqrt)").materialize(),
+    }
+
+
+class TestLabelPath:
+    """Every T_pi tree of epi_gamma2, dense or axis, greedy or exact, is built and
+    read on labels, with the bits of that T_pi's own tree."""
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 8])
+    @pytest.mark.parametrize("axis", [False, True])
+    @pytest.mark.parametrize("s", [2.0 / 3.0, 2.0])
+    def test_exact_forest_matches_each_t_pi_tree(self, m, axis, s, monkeypatch):
+        rng = np.random.default_rng(m)
+        points = rng.standard_normal((m, 5))
+        if axis:  # each point keeps one of its coordinates
+            points *= np.eye(5)[rng.integers(0, 5, m)]
+        ps = PointSet(points)
+        assert (_axis_form(ps.points) is not None) == axis
+        forest = read_values(monkeypatch)
+        epi_gamma2(ps, s, 6, "exact_small", RandomStream(m))
+        reference = reference_values(ps, s, 6, m, gamma.exact_small_tree)
+        assert len(forest) == 6
+        assert [x.hex() for x in forest] == [x.hex() for x in reference]
+
+    @pytest.mark.filterwarnings("ignore:infinite weight exponent:UserWarning")
+    @pytest.mark.parametrize("name, method", [  # exact_small takes at most 8 points
+        (name, method) for name, ps in axis_edge_sets().items()
+        for method in ("greedy_upper", "exact_small") if method == "greedy_upper" or ps.m <= 8])
+    @pytest.mark.parametrize("s", [2.0 / 3.0, 2.0, math.inf])
+    def test_axis_t_pi_matches_its_own_point_set(self, name, method, s, monkeypatch):
+        ps = axis_edge_sets()[name]
+        assert _axis_form(ps.points) is not None
+        builder = gamma.build_greedy_tree if method == "greedy_upper" else gamma.exact_small_tree
+        forest = read_values(monkeypatch)
+        epi_gamma2(ps, s, 8, method, RandomStream(45))
+        reference = reference_values(ps, s, 8, 45, builder)
+        assert len(forest) == 8
+        assert [x.hex() for x in forest] == [x.hex() for x in reference]
+
+    @pytest.mark.filterwarnings("ignore:infinite weight exponent:UserWarning")
+    @pytest.mark.parametrize("name", list(axis_edge_sets()) + ["dense"])
+    @pytest.mark.parametrize("s", [2.0 / 3.0, math.inf])
+    def test_each_batch_is_its_t_pi_points(self, name, s):
+        # rows equal exactly where the points are, and the points' own center norms;
+        # an axis T_pi's matrix is also that of its own points
+        ps = forest_sets()["hypercube_subset"] if name == "dense" else axis_edge_sets()[name]
+        rng = RandomStream(49).generator()
+        perms = [rng.permutation(ps.dim) for _ in range(6)]
+        batches = list(transforms._t_pi_batches(ps, perms, weights(ps.dim, s).w))
+        assert len(batches) == (1 if name == "dense" else 6)
+        dist = np.concatenate([batch[0] for batch in batches])
+        norms, rows = (np.concatenate([batch[i] for batch in batches]) for i in (1, 2))
+        for k, perm in enumerate(perms):
+            t_pi = apply_permuted_weights(ps, perm, s).points
+            tree = slice(k * ps.m, (k + 1) * ps.m)
+            assert np.array_equal((rows[tree, None] == rows[tree]).all(axis=2),
+                                  (t_pi[:, None] == t_pi).all(axis=2))
+            assert norms[tree].tobytes() == gamma._center_norms(t_pi, L2).tobytes()
+            if name != "dense":
+                assert dist[k].tobytes() == pairwise_distance_matrix(t_pi, L2).tobytes()
+
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])  # T_pi 0, 1 or 2 gives axis 0 the weight w_1 > 1
+    def test_overflowing_axis_t_pi_raises_where_its_point_set_does(self, method, seed,
+                                                                    monkeypatch):
+        ps = PointSet([[1.7e308, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        rng = RandomStream(seed).generator()
+        first = 0
+        for perm in (rng.permutation(3) for _ in range(4)):
+            try:
+                apply_permuted_weights(ps, perm, 2.0 / 3.0)
+            except ValueError:
+                break
+            first += 1
+        read = read_values(monkeypatch)
+        with pytest.raises(ValueError, match="^all coordinates must be finite$"):
+            epi_gamma2(ps, 2.0 / 3.0, 4, method, RandomStream(seed))
+        assert first == len(read) == [0, 1, 7].index(seed)
+
+    @pytest.mark.filterwarnings("ignore:infinite weight exponent:UserWarning")
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    def test_overflowing_axis_distance_keeps_its_message(self, method):
+        # at s = inf every T_pi keeps two of the points at weight 1
+        big = PointSet(np.eye(4)[:3] * 1.7e308)
+        with pytest.raises(ValueError, match="^l2 distances between these points overflow"):
+            epi_gamma2(big, math.inf, 4, method, RandomStream(0))
+
+    @pytest.mark.parametrize("method", ["greedy_upper", "exact_small"])
+    def test_no_t_pi_point_set(self, method, monkeypatch):
+        sets = [PointSet(np.random.default_rng(46).standard_normal((8, 5))), axis_sets()[2]]
+        made = []
+        original = PointSet.__post_init__
+
+        def counting(pset):
+            made.append(pset)
+            original(pset)
+
+        monkeypatch.setattr(PointSet, "__post_init__", counting)
+        for pset in sets:
+            epi_gamma2(pset, 2.0, 4, method, RandomStream(47))
+        assert made == []
+        epi_gamma2(sets[0], 2.0, 4, "gaussian_proxy", RandomStream(47), samples=200)
+        assert len(made) == 4  # the proxy's T_pi are sets, and the count sees them
+
+    @pytest.mark.parametrize("spec", ["gaussian_cloud(3,600,1.0)", "scaled_basis(9,sqrt)"])
+    def test_exact_small_refuses_a_large_set_before_the_shared_pass(self, spec, monkeypatch):
+        def refused(points, sq_weights):
+            raise AssertionError("the shared pass ran for a set exact_small refuses")
+
+        monkeypatch.setattr(transforms, "_weighted_l2_matrices", refused)
+        ps = InstanceFamily.from_spec(spec).materialize()
+        with pytest.raises(ValueError, match=f"^exact enumeration is limited to m <= 8 points, "
+                                             f"got {ps.m}$"):
+            epi_gamma2(ps, 2.0, 4, "exact_small", RandomStream(48))
