@@ -360,23 +360,24 @@ def diameter(pset: PointSet, subset: Sequence[int], metric: Metric) -> float:
     return float(pairwise_distance_matrix(pset.points[idx], metric).max())
 
 
+def _row_keys(points: np.ndarray) -> np.ndarray:
+    """One void key per row of a C-contiguous (m, d) float array, equal exactly where
+    the rows are equal as points (adding 0.0 turns -0.0 into +0.0)."""
+    return (points + 0.0).view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+
+
 def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, int]:
-    """Drop exact duplicate rows, keeping first occurrences in order."""
-    keep: list[int] = []
-    seen: set[bytes] = set()
-    for i in range(points.shape[0]):
-        key = points[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return points[keep], points.shape[0] - len(keep)
+    """Drop rows equal as points to an earlier row, keeping first occurrences in order."""
+    keep = np.sort(np.unique(_row_keys(points), return_index=True)[1])
+    return points[keep], points.shape[0] - keep.size
 
 
 def load_points_csv(path: str, label: str | None = None) -> PointSet:
     """Load a point set from CSV: one point per row, ``dim`` columns.
 
     An optional single header row starting with '#' is skipped.  Ragged
-    rows are rejected; exact duplicate points are dropped with a warning.
+    rows are rejected; a point equal to an earlier one (-0.0 equal to 0.0) is
+    dropped with a warning.
     """
     rows: list[list[float]] = []
     row_numbers: list[int] = []

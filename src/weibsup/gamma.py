@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -497,43 +497,30 @@ def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaV
     return GammaValue(alpha=alpha, value=value, method="greedy_upper")
 
 
+@lru_cache(maxsize=None)
+def _partitions(m: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every partition of m points into at most max_blocks blocks, as read-only rows
+    of block numbers in restricted-growth form and lexicographic order, and a
+    read-only (partitions, pairs) flag of which ``np.triu_indices(m, 1)`` pairs share
+    a block."""
+    rows = [(0,)]
+    for _ in range(1, m):  # each row grows by every block it uses and one new block
+        rows = [row + (b,) for row in rows for b in range(min(max(row) + 2, max_blocks))]
+    parts = np.array(rows, dtype=np.int64)
+    i, j = np.triu_indices(m, 1)
+    shared = parts[:, i] == parts[:, j]
+    parts.flags.writeable = shared.flags.writeable = False
+    return parts, shared
+
+
 def _best_partition_max_diam(dist: np.ndarray, max_blocks: int) -> tuple[float, list[int]]:
-    """Min over partitions into at most max_blocks blocks of the max cell diameter.
-
-    Exhaustive search in restricted-growth order with branch-and-bound on the
-    running maximum; feasible because m <= 8.
-    """
-    m = dist.shape[0]
-    best_val = math.inf
-    best_assign: list[int] = []
-    assign = [0] * m
-
-    def recurse(i: int, used: int, current: float) -> None:
-        nonlocal best_val, best_assign
-        if current >= best_val:
-            return
-        if i == m:
-            best_val = current
-            best_assign = assign[:i]
-            return
-        for b in range(min(used + 1, max_blocks)):
-            grown = current
-            ok = True
-            for j in range(i):
-                if assign[j] == b:
-                    d = dist[i, j]
-                    if d > grown:
-                        grown = d
-                    if grown >= best_val:
-                        ok = False
-                        break
-            if ok:
-                assign[i] = b
-                recurse(i + 1, max(used, b + 1), grown)
-        assign[i] = 0
-
-    recurse(0, 0, 0.0)
-    return best_val, best_assign
+    """Min over partitions into at most max_blocks blocks of the max cell diameter,
+    and the first partition in restricted-growth order that attains it, read from
+    the table of ``_partitions``; feasible because m <= 8."""
+    parts, shared = _partitions(dist.shape[0], max_blocks)
+    diams = np.where(shared, dist[np.triu_indices(dist.shape[0], 1)], 0.0).max(axis=1, initial=0.0)
+    best = int(diams.argmin())
+    return float(diams[best]), parts[best].tolist()
 
 
 def gamma_exact_small(pset: PointSet, metric: Metric, alpha: float) -> GammaValue:

@@ -15,6 +15,7 @@ from .core import (
     RandomStream,
     _axis_distance_matrix,
     _axis_form,
+    _row_keys,
     _unit_scaled,
     _weighted_l2_matrices,
 )
@@ -120,9 +121,8 @@ def _t_pi_batches(
                     yield matrices[:k], np.concatenate(norms), np.concatenate(groups)
                 raise ValueError("all coordinates must be finite")
             norms.append(_center_norms(t_pi, l2))
-            # rows equal as points (adding 0.0 turns -0.0 into +0.0) get one id
-            rows = (t_pi + 0.0).view(np.dtype((np.void, t_pi.itemsize * t_pi.shape[1])))
-            groups.append(k * pset.m + np.unique(rows.ravel(), return_inverse=True)[1][:, None])
+            # rows equal as points get one id
+            groups.append(k * pset.m + np.unique(_row_keys(t_pi), return_inverse=True)[1][:, None])
         yield matrices, np.concatenate(norms), np.concatenate(groups)
         return
     axes, v = axis_form

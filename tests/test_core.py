@@ -680,6 +680,13 @@ class TestCsvRoundtrip:
             ps = load_points_csv(str(path))
         assert ps.m == 2
 
+    def test_signed_zero_twins_drop(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("0,1\n-0,1\n0.0,1.0\n2,3\n")
+        with pytest.warns(UserWarning, match=r"dropped 2 duplicate point\(s\)$"):
+            ps = load_points_csv(str(path))
+        assert ps.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("1,2\nfoo,4\n")

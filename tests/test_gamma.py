@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -666,6 +667,22 @@ def reference_exact_small_tree(ps: PointSet, metric: Metric) -> PartitionTree:
     return PartitionTree(ps, (whole, level1, singletons))
 
 
+def first_best_partition(dist: np.ndarray, max_blocks: int) -> tuple[float, tuple[int, ...]]:
+    """Independent reference for the partition search: every labelling of the points
+    by ``itertools.product``, kept when in restricted-growth form (so in lexicographic
+    order), and the first of least max in-block distance."""
+    m = dist.shape[0]
+    best_val, best = math.inf, ()
+    for labels in itertools.product(range(max_blocks), repeat=m):
+        if any(labels[i] > max(labels[:i], default=-1) + 1 for i in range(m)):
+            continue
+        pairs = itertools.combinations(range(m), 2)
+        value = max((dist[i, j] for i, j in pairs if labels[i] == labels[j]), default=0.0)
+        if value < best_val:
+            best_val, best = value, labels
+    return float(best_val), best
+
+
 class TestExactSmall:
     @pytest.mark.parametrize("metric", [L2, LINF, Metric.lp(1.5)], ids=str)
     def test_matches_tuple_construction(self, metric):
@@ -693,6 +710,23 @@ class TestExactSmall:
             for alpha in (0.5, 1.0, 2.0, 4.0):
                 exact = gamma_exact_small(ps, metric, alpha).value
                 assert exact == closed_form_exact_small(ps, metric, alpha)
+
+    def test_partition_table_matches_itertools(self):
+        rng = np.random.default_rng(85)
+        for m in range(1, 9):
+            pts = rng.standard_normal((m, 2))
+            sets = [pts, np.round(pts), pts[rng.integers(0, max(1, m // 2), size=m)],
+                    np.zeros((m, 2))]  # random, rounded (ties), duplicate, all-zero
+            for max_blocks in range(1, 5):
+                parts, shared = weibsup.gamma._partitions(m, max_blocks)
+                assert not parts.flags.writeable and not shared.flags.writeable
+                for points in sets:
+                    for metric in (L2, LINF):
+                        dist = pairwise_distance_matrix(PointSet(points), metric)
+                        value, assign = weibsup.gamma._best_partition_max_diam(dist, max_blocks)
+                        best_val, best = first_best_partition(dist, max_blocks)
+                        assert value.hex() == best_val.hex()
+                        assert assign == list(best)
 
     def test_two_points(self):
         ps = PointSet([[0.0], [2.5]])
