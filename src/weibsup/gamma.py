@@ -415,17 +415,26 @@ def build_greedy_tree(pset: PointSet, metric: Metric) -> PartitionTree:
     return _tree(pset, labels)
 
 
+def _greedy_matrix_labels(points: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, m, m) distance matrix of ``points`` under ``metric``, kept on no set,
+    and the checked (levels, m) labels of the tree ``build_greedy_tree`` makes."""
+    dist = pairwise_distance_matrix(points, metric)[None]
+    labels = _greedy_labels(dist, _center_norms(points, metric), points)[0]
+    _check_labels(points, labels, 1)
+    return dist, labels
+
+
 def _sup_level_sum(
     labels: np.ndarray,
     mats: Sequence[np.ndarray],
-    coeffs: Sequence[Sequence[float]],
+    alphas: Sequence[float],
     depths: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per tree of a forest of K trees of m points (see ``_greedy_labels``),
     sup over its points t of sum_n of level n's value on A_n(t), the cells read
     from the (levels, K * m) labels: the max over the cell's point pairs i <= j
-    of sum_k coeffs[n][k] * mats[k][tree, i, j], for (K, m, m) stacks of
-    symmetric mats and coeffs > 0.  A tree adds nothing from the levels at and
+    of sum_k 2^(n / alphas[k]) * mats[k][tree, i, j], for (K, m, m) stacks of
+    symmetric mats and alphas > 0.  A tree adds nothing from the levels at and
     past its entry of ``depths``.
 
     A level of one cell per tree is read in bands of rows of each tree's mats
@@ -440,12 +449,13 @@ def _sup_level_sum(
     acc = np.zeros((trees, m))
     with np.errstate(over="ignore"):  # an overflow leaves inf, checked once below
         for n, row in enumerate(labels):
+            coeffs = [_power(2.0, n / alpha, f"level weight 2^({n}/{alpha})") for alpha in alphas]
             if row.max() + 1 == trees:  # one cell per tree, of all of its points
                 gain = np.empty((trees, 1))
                 for k in range(trees):
                     views = ((mat[k, i:i + band, i:] for mat in mats) for i in range(0, m, band))
                     gain[k] = max(
-                        reduce(np.add, map(np.multiply, coeffs[n], parts)).max() for parts in views
+                        reduce(np.add, map(np.multiply, coeffs, parts)).max() for parts in views
                     )
             else:
                 order, starts, sizes = _segments(row)
@@ -463,7 +473,7 @@ def _sup_level_sum(
                     flat = cols[flat]
                     flat += np.repeat(order[p:q] * m, counts[p:q])  # each pair's flat index
                     values = reduce(
-                        np.add, map(np.multiply, coeffs[n], (mat.take(flat) for mat in mats))
+                        np.add, map(np.multiply, coeffs, (mat.take(flat) for mat in mats))
                     )
                     point_max[p:q] = np.maximum.reduceat(values, firsts)
                     del flat, values  # before the next block's are built
@@ -481,11 +491,8 @@ def _sup_level_sum(
 def _level_gammas(
     labels: np.ndarray, dist: np.ndarray, alpha: float, depths: np.ndarray | None = None
 ) -> np.ndarray:
-    """Each tree's sup over points of sum_n 2^(n/alpha) * diam(A_n(t)), read by
-    ``_sup_level_sum`` from a forest's labels and (K, m, m) distance stack."""
-    coeffs = [[_power(2.0, n / alpha, f"level weight 2^({n}/{alpha})")]
-              for n in range(len(labels))]
-    return _sup_level_sum(labels, [dist], coeffs, depths)
+    """Each tree's sup over points of sum_n 2^(n/alpha) * diam(A_n(t)) (``_sup_level_sum``)."""
+    return _sup_level_sum(labels, [dist], [alpha], depths)
 
 
 def gamma_from_tree(tree: PartitionTree, alpha: float, metric: Metric) -> GammaValue:
@@ -641,17 +648,20 @@ def intersect_trees(a: PartitionTree, b: PartitionTree) -> PartitionTree:
         a.pointset.points, b.pointset.points
     ):
         raise ValueError("trees must partition the same point set")
-    pset = a.pointset
-    m = pset.m
-    la, lb = _nested_labels(a), _nested_labels(b)
+    return _tree(a.pointset, _intersected(a.pointset.points, _nested_labels(a), _nested_labels(b)))
+
+
+def _intersected(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The labels of ``intersect_trees`` of the trees of ``points`` labelled ``a`` and ``b``."""
+    m = len(points)
     rows = [np.zeros(m, dtype=np.int64)]
-    for n in range(1, max(len(la), len(lb)) + 1):
-        if _point_cells(pset.points, rows[-1]).all():
+    for n in range(1, max(len(a), len(b)) + 1):
+        if _point_cells(points, rows[-1]).all():
             break
         # one key per point, ordered as (cell in A, cell in B)
-        key = la[min(n - 1, len(la) - 1)] * m + lb[min(n - 1, len(lb) - 1)]
+        key = a[min(n - 1, len(a) - 1)] * m + b[min(n - 1, len(b) - 1)]
         rows.append(np.unique(key, return_inverse=True)[1])
-    return _tree(pset, rows)
+    return np.array(rows)
 
 
 def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
@@ -662,11 +672,8 @@ def chaining_bound(pset: PointSet, r: float, tree: PartitionTree) -> float:
     if tree.pointset is not pset and not np.array_equal(tree.pointset.points, pset.points):
         raise ValueError("tree does not partition the given point set")
     labels = validate_admissible(tree)
-    d2 = _distance_matrix(pset, Metric.l2())
-    dinf = _distance_matrix(pset, Metric.linf())
-    coeffs = [[2.0 ** (k / 2.0), _power(2.0, k / r, f"level weight 2^({k}/{r})")]
-              for k in range(len(labels))]
-    return float(_sup_level_sum(labels, [d2[None], dinf[None]], coeffs)[0])
+    mats = [_distance_matrix(pset, metric)[None] for metric in (Metric.l2(), Metric.linf())]
+    return float(_sup_level_sum(labels, mats, [2.0, r])[0])
 
 
 def tree_to_jsonable(tree: PartitionTree) -> list[list[list[int]]]:

@@ -28,12 +28,7 @@ from .core import (
     _unit_scaled,
     load_points_csv,
 )
-from .gamma import (
-    build_greedy_tree,
-    chaining_bound,
-    gamma_from_tree,
-    intersect_trees,
-)
+from .gamma import _greedy_matrix_labels, _intersected, _sup_level_sum
 from .laws import (
     conjugate_exponent,
     sup_norm_moment_bound,
@@ -47,8 +42,9 @@ from .mcsup import (
     esup_mc,
     esup_permuted_prefixes,
 )
-# nothing here calls it, but benchmarks/tracing.py wraps this binding and fails on a
-# name the module does not define
+# nothing here calls them, but benchmarks/tracing.py wraps these bindings and fails
+# on a name the module does not define
+from .gamma import build_greedy_tree, chaining_bound, gamma_from_tree, intersect_trees  # noqa: F401
 from .mcsup import esup_permuted_weighted  # noqa: F401
 from .transforms import _EPI_METHODS, EpiGamma2, epi_gamma2, weights
 
@@ -319,8 +315,7 @@ class BoundReport:
     """All computed quantities for one verification instance.
 
     Ratio keys name their numerator and denominator explicitly, e.g.
-    ``esup_weibull_over_epi_gamma2``.  ``wall_clock`` is excluded from
-    canonical serialization so re-runs produce identical files.
+    ``esup_weibull_over_epi_gamma2``.
     """
 
     instance: str
@@ -331,12 +326,9 @@ class BoundReport:
     flags: dict[str, str] = field(default_factory=dict)
     window: tuple[float, float] | None = None
     seed: int | None = None
-    wall_clock: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        doc = asdict(self)
-        del doc["wall_clock"]
-        return doc | {"window": list(self.window) if self.window else None}
+        return asdict(self) | {"window": list(self.window) if self.window else None}
 
     def violated(self) -> bool:
         return any(v in ("violation", "error") for v in self.flags.values())
@@ -474,21 +466,20 @@ def _r1_set_quantities(
     """gamma_2(T, d_2), gamma_r(T, d_inf) and ``chaining_bound`` of the set for
     every r, or the exception that computing them raised for that r (kept
     without its traceback, which would keep this call's frames alive).  Both
-    greedy trees, their intersection and the set's l2 and linf matrices are
-    built on a private copy of the set and freed on return."""
-    own = PointSet(pset.points, label=pset.label)
+    greedy trees and their intersection are label arrays, read on l2 and linf
+    matrices that no set keeps and that are freed on return; no tuple tree is made."""
     try:
-        tree_l2 = build_greedy_tree(own, Metric.l2())
-        tree_linf = build_greedy_tree(own, Metric.linf())
-        g2 = gamma_from_tree(tree_l2, 2.0, Metric.l2()).value
-        both = intersect_trees(tree_l2, tree_linf)
+        d2, l2 = _greedy_matrix_labels(pset.points, Metric.l2())
+        dinf, linf = _greedy_matrix_labels(pset.points, Metric.linf())
+        g2 = float(_sup_level_sum(l2, [d2], [2.0])[0])
+        both = _intersected(pset.points, l2, linf)
     except Exception as exc:
         return dict.fromkeys(r_values, exc.with_traceback(None))
     by_r: dict[float, tuple[float, float, float] | Exception] = {}
     for r in r_values:
         try:
-            gr = gamma_from_tree(tree_linf, r, Metric.linf()).value
-            by_r[r] = g2, gr, chaining_bound(own, r, both)
+            gr = float(_sup_level_sum(linf, [dinf], [r])[0])
+            by_r[r] = g2, gr, float(_sup_level_sum(both, [d2, dinf], [2.0, r])[0])
         except Exception as exc:
             by_r[r] = exc.with_traceback(None)
     return by_r

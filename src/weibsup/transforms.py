@@ -180,6 +180,7 @@ def epi_gamma2(
                               else (_exact_small_labels(dist), None))
             _check_labels(rows, labels, len(dist))
             values += _level_gammas(labels, dist, 2.0, depths).tolist()
+            del dist, norms, rows, labels  # before the next batch is built
     # the mean of the values times the 2^-e that puts the largest in [1/2, 1), whose
     # sum cannot overflow where theirs can, scaled back
     scaled, exp = _unit_scaled(values)

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weibsup import harness
+from weibsup import gamma, harness
 from weibsup.cli import main as cli_main
-from weibsup.core import Metric, RandomStream
+from weibsup.core import Metric, PointSet, RandomStream
 from weibsup.harness import (
-    BoundReport,
     ConfigError,
     InstanceFamily,
     RunConfig,
@@ -325,23 +324,59 @@ class TestVerifyR1Bound:
         grid = harness._instance_grid(cfg)
         alone = [harness._r1_bound_instance(inst, cfg, 1, by_set={}) for inst in grid]
         calls = []
-        for name in ("build_greedy_tree", "gamma_from_tree", "intersect_trees"):
-            def counted(*args, _name=name, _fn=getattr(harness, name)):
-                calls.append((_name, str(args[-1]) if isinstance(args[-1], Metric) else None))
+        keys = {  # what tells a call's work apart: the metric, or the level exponents
+            "_greedy_matrix_labels": lambda points, metric: str(metric),
+            "_intersected": lambda points, a, b: None,
+            "_sup_level_sum": lambda labels, mats, alphas: tuple(alphas),
+        }
+        for name, key in keys.items():
+            def counted(*args, _name=name, _key=key, _fn=getattr(harness, name)):
+                calls.append((_name, _key(*args)))
                 return _fn(*args)
 
             monkeypatch.setattr(harness, name, counted)
         reports = verify_r1_bound(cfg)
         assert reports_json_text(reports) == reports_json_text(alone)
         tally = {key: calls.count(key) for key in set(calls)}
-        families, instances = len(cfg.families), len(cfg.families) * len(cfg.r_values)
+        families = len(cfg.families)
+        # per family: both trees' labels, their intersection and the gamma_2 read;
+        # per instance: the gamma_r read and the chaining read
         assert tally == {
-            ("build_greedy_tree", "l2"): families,
-            ("build_greedy_tree", "linf"): families,
-            ("gamma_from_tree", "l2"): families,
-            ("gamma_from_tree", "linf"): instances,
-            ("intersect_trees", None): families,
+            ("_greedy_matrix_labels", "l2"): families,
+            ("_greedy_matrix_labels", "linf"): families,
+            ("_intersected", None): families,
+            ("_sup_level_sum", (2.0,)): families,
+            **{("_sup_level_sum", (r,)): families for r in cfg.r_values},
+            **{("_sup_level_sum", (2.0, r)): families for r in cfg.r_values},
         }
+
+    def test_no_verify_path_builds_or_parses_a_tuple_tree(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a tuple tree was built or parsed")
+
+        for name in ("_tree", "_nested_labels"):
+            monkeypatch.setattr(gamma, name, refused)
+        assert verify_main_bound(_scaled_grid("main_bound", 1.0))
+        assert verify_r1_bound(_scaled_grid("r1_bound", 1.0))
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(5).standard_normal((40, 6)),
+        InstanceFamily("hypercube_subset", seed=3, n=6, m=24).materialize().points,  # exact ties
+        np.random.default_rng(6).standard_normal((10, 3))[[*range(10), 1, 4, 4]],  # duplicates
+        np.vstack([np.diag(1.0 / np.sqrt(np.arange(1.0, 13.0))), np.zeros(12)]),
+        [[2.0, -1.0]],
+        [[1.0, 0.0], [1.0, 1e-300]],  # distances that underflow to 0 under l2
+    ], ids=["gaussian", "hypercube", "duplicates", "axis_and_zero", "one_point", "underflow"])
+    def test_set_quantities_have_the_public_api_s_bits(self, points):
+        pset, r_values, l2, linf = PointSet(points), (1.0, 1.5, 2.0), Metric.l2(), Metric.linf()
+        by_r = harness._r1_set_quantities(pset, r_values)
+        tree_l2, tree_linf = gamma.build_greedy_tree(pset, l2), gamma.build_greedy_tree(pset, linf)
+        both = gamma.intersect_trees(tree_l2, tree_linf)
+        for r in r_values:
+            public = (gamma.gamma_from_tree(tree_l2, 2.0, l2).value,
+                      gamma.gamma_from_tree(tree_linf, r, linf).value,
+                      gamma.chaining_bound(pset, r, both))
+            assert [x.hex() for x in by_r[r]] == [x.hex() for x in public]
 
     def test_grid_sets_hold_no_distance_matrix(self, monkeypatch):
         grids = []
@@ -886,11 +921,6 @@ class TestRunAndPersistence:
         assert run(self.write_cfg(tmp_path, data)) in (0, 1)
         expected = [rep.to_dict() for rep in verify(RunConfig.from_dict(data))]
         assert json.loads(out.read_text())["reports"] == expected
-
-    def test_json_text_excludes_timing(self):
-        rep = BoundReport(instance="x", r=1.0, quantities={"a": 1.0}, wall_clock=12.5)
-        text = reports_json_text([rep])
-        assert "wall_clock" not in text
 
 
 class TestStandardSuite:

@@ -274,7 +274,7 @@ class TestAxisSetPermutations:
         out = epi_gamma2(pset, 1.0, 4, method, RandomStream(42))
         assert out.mean > 0.0 and len(read) == 4
 
-    @pytest.mark.parametrize("m, num_perms, matrices", [(256, 20, 5), (1024, 4, 3)])
+    @pytest.mark.parametrize("m, num_perms, matrices", [(256, 20, 5), (1024, 4, 3), (1024, 4, 1.5)])
     def test_one_matrix_alive_at_a_time(self, m, num_perms, matrices):
         # the shared pass would keep every T_pi's matrix (10 MiB at m = 256, K = 20);
         # what remains is one T_pi's matrix and its row buffer, and the tree's
