@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -236,73 +235,62 @@ def _axis_form(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return axes, points[np.arange(points.shape[0]), axes]
 
 
-def _check_distances(out: np.ndarray, metric: Metric) -> np.ndarray:
-    if not out.max(initial=0.0) < np.inf:  # also catches NaN
-        raise ValueError(f"{metric} distances between these points overflow float64")
-    return out
-
-
 def _axis_distance_matrix(axes: np.ndarray, values: np.ndarray, metric: Metric) -> np.ndarray:
-    """The l2 or linf matrix of points on coordinate axes (see ``_axis_form``), with
-    the walker's bits.  From the unit-scaled values v, an entry is, under l2,
-    sqrt(square(v_i) + square(v_j)) between points on two axes and
-    sqrt(square(v_i - v_j)) on one; under linf, max(|v_i|, |v_j|) and |v_i - v_j|.
-    Those are the walker's sums and maxima less their exact zeros.  Rows are
-    written into the output in blocks of at most 2^16 entries (one row if a row
-    is longer): the cross-axis value in place, then the one-axis value, from one
-    reused buffer, where the axes agree.  The output is scaled back in place,
-    and an overflow raises the walker's ValueError."""
-    v, exp = _unit_scaled(values)
-    m = v.size
+    """The l2 or linf matrix of points on coordinate axes (see ``_axis_form``): the
+    walk of the (m, 1) values in blocks of at most 32 rows, so the walker's column
+    mirror stays short.  From the unit-scaled values v, the reduction gives, under
+    l2, sqrt(square(v_i - v_j)) between points on one axis, from the walker's
+    differences, and sqrt(square(v_i) + square(v_j)) on two; under linf,
+    |v_i - v_j| and max(|v_i|, |v_j|).  Those are the walker's sums and maxima of
+    the points' own coordinates less their exact zeros, so the matrix has their
+    bits, in O(m^2) instead of O(m^2 n)."""
     l2 = metric.p == 2.0
     term, cross = (np.square, np.add) if l2 else (np.abs, np.maximum)
-    terms = term(v)
-    rows = max(1, min(m, 2**16 // max(1, m)))
-    out, same_buf = np.empty((m, m)), np.empty(rows * m)
-    for i0 in range(0, m, rows):
-        block = out[i0:i0 + rows]
-        i1 = i0 + len(block)
-        same = np.subtract(v[i0:i1, None], v, out=same_buf[: block.size].reshape(block.shape))
-        term(same, out=same)
-        cross(terms[i0:i1, None], terms, out=block)
-        np.copyto(block, same, where=axes[i0:i1, None] == axes)
-        if l2:
-            np.sqrt(block, out=block)
-    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
-        np.ldexp(out, exp, out=out)
-    return _check_distances(out, metric)
+
+    def axis_distances(diff: np.ndarray, v: np.ndarray, i0: int) -> np.ndarray:
+        same = term(diff[..., 0], out=diff[..., 0])
+        terms = term(v[i0:, 0])
+        block = cross(terms[: len(same), None], terms)
+        np.copyto(block, same, where=axes[i0:i0 + len(same), None] == axes[i0:])
+        return np.sqrt(block, out=block) if l2 else block
+
+    return _distance_matrices(values[:, None], metric, 32, axis_distances)
 
 
 def _distance_matrices(pts: np.ndarray, metric: Metric, rows: int, reduce: Callable) -> np.ndarray:
     """The distance matrices ``reduce`` gives of the points, each pair computed once.
 
     The upper triangle is walked in blocks of ``rows`` rows.  A block's differences
-    t_i - t_j (j >= i) fill one (b, w, n) buffer, which ``reduce`` may overwrite as
-    it turns them into distances, a writable (..., b, w) array.  Each block is
-    mirrored into its columns: fl(t_j - t_i) = -fl(t_i - t_j) and no distance
-    reads signs, so every matrix is exactly symmetric.  Under l2 and linf the
-    points are unit scaled and each block scaled back in place, which changes no
-    bit short of underflow, so only a distance that itself overflows float64
-    raises ValueError (under other p, also one whose p-th power does)."""
+    t_i - t_j (j >= i) fill one (b, w, n) buffer, and ``reduce(diff, pts, i0)``,
+    with the (unit-scaled) points and the block's first row i0, turns them into
+    distances, a writable (..., b, w) array; it may overwrite ``diff``.  Each block
+    is mirrored into its columns, and inside the block its lower half from its
+    upper: fl(t_j - t_i) = -fl(t_i - t_j) and no distance reads signs, so every
+    matrix is exactly symmetric.  Under l2 and linf the points are unit scaled and
+    each block scaled back in place, which changes no bit short of underflow, so
+    only a distance that itself overflows float64 raises ValueError (under other
+    p, also one whose p-th power does)."""
     exp = 0
     if metric.p in (2.0, math.inf):
         pts, exp = _unit_scaled(pts)
     m, n = pts.shape
     diff_buf, col = np.empty(rows * m * n), pts[:, None]
     # an empty block tells how many matrices the reduction gives
-    out = np.empty(reduce(diff_buf[:0].reshape(0, 0, n)).shape[:-2] + (m, m))
+    out = np.empty(reduce(diff_buf[:0].reshape(0, 0, n), pts, m).shape[:-2] + (m, m))
     mirror = np.swapaxes(out, -1, -2)
     with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
         for i0 in range(0, m, rows):
             i1 = min(i0 + rows, m)
             diff = diff_buf[: (i1 - i0) * (m - i0) * n].reshape(i1 - i0, m - i0, n)
-            block = reduce(np.subtract(col[i0:i1], pts[i0:], out=diff))
+            block = reduce(np.subtract(col[i0:i1], pts[i0:], out=diff), pts, i0)
             np.ldexp(block, exp, out=block)
             mirror[..., i0:i1, i0:] = block
             out[..., i0:i1, i0:] = block
-            for r in range(i1 - i0 - 1):  # inside the block, the lower half mirrors the upper
-                out[..., i0 + r + 1:i1, i0 + r] = block[..., r, r + 1:i1 - i0]
-    return _check_distances(out, metric)
+            inner = out[..., i0:i1, i0:i1]
+            np.copyto(inner, inner.swapaxes(-1, -2), where=np.tri(i1 - i0, k=-1, dtype=bool))
+    if not out.max(initial=0.0) < np.inf:  # also catches NaN
+        raise ValueError(f"{metric} distances between these points overflow float64")
+    return out
 
 
 def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
@@ -318,7 +306,7 @@ def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndar
     rows = max(1, m // n)
     sums_buf = np.empty(len(a) * rows * m)
 
-    def weighted_norms(diff: np.ndarray) -> np.ndarray:
+    def weighted_norms(diff: np.ndarray, pts: np.ndarray, i0: int) -> np.ndarray:
         sq = np.square(diff, out=diff).reshape(-1, n)
         sums = sums_buf[: len(a) * len(sq)].reshape(len(a), -1)
         for a_k, s_k in zip(a, sums):
@@ -331,21 +319,22 @@ def _weighted_l2_matrices(points: np.ndarray, sq_weights: np.ndarray) -> np.ndar
 
 
 def pairwise_distance_matrix(points: np.ndarray | PointSet, metric: Metric) -> np.ndarray:
-    """Dense m-by-m distance matrix.  Its bits do not depend on the block height, so
-    a block is as many rows as fit 2^16 differences (one row if a row is larger):
-    enough to spread the walk's per-block work over short rows, and too few to
-    add more than 512 KB to the matrix's own O(m^2) memory.
+    """Dense m-by-m distance matrix: the pair walk with the lp reduction, each
+    difference's norm taken in place.  Its bits do not depend on the block height,
+    so a block is as many rows as fit 2^16 differences (one row if a row is
+    larger): enough to spread the walk's per-block work over short rows, and too
+    few to add more than 512 KB to the matrix's own O(m^2) memory.
 
-    Under l2 and linf, a set whose points each lie on a coordinate axis is not
-    walked: ``_axis_distance_matrix`` gives it the same bits in O(m^2) instead
-    of O(m^2 n)."""
+    Under l2 and linf, a set whose points each lie on a coordinate axis is walked
+    with the axis reduction over its (m, 1) values (``_axis_distance_matrix``),
+    which gives the same bits in O(m^2) instead of O(m^2 n)."""
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
     _check_coordinates(pts)
     axis = _axis_form(pts) if pts.ndim == 2 and metric.p in (2.0, math.inf) else None
     if axis is not None:
         return _axis_distance_matrix(*axis, metric)
     rows = max(1, 2**16 // max(1, pts.size))
-    return _distance_matrices(pts, metric, rows, functools.partial(_row_norms, metric=metric))
+    return _distance_matrices(pts, metric, rows, lambda diff, pts, i0: _row_norms(diff, metric))
 
 
 def diameter(pset: PointSet, subset: Sequence[int], metric: Metric) -> float:

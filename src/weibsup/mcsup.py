@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -227,30 +227,36 @@ def _sups_reader(pset: PointSet) -> Callable[[np.ndarray], np.ndarray]:
 
 def _esup(
     pset: PointSet,
-    coefficients: Callable[[np.random.Generator, int, int], np.ndarray],
+    coefficient_blocks: Callable[[np.random.Generator, int, int], Iterable[np.ndarray]],
     samples: int,
     stream: RandomStream,
     workers: int,
-) -> SupEstimate:
-    """Monte Carlo E max over the points of <coeff, t>, where
-    ``coefficients(rng, count, dim)`` draws ``count`` coefficient rows.
+) -> list[SupEstimate]:
+    """Monte Carlo E max over the points of <coeff, t>: one estimate per block of
+    coefficient rows that ``coefficient_blocks(rng, count, dim)`` yields for
+    ``count`` draws, with the bits of a call yielding only that block (see
+    ``_mc_mean`` on columns).
 
     ``_mc_mean`` hands each chunk's rows over in blocks of
-    max(1, 2^16 // max(m, n)), each drawn, multiplied and reduced at once,
-    so a chunk never holds its count x n coefficients or count x m product.
-    ``_sups_reader`` reduces a block: on points that each lie on a coordinate
-    axis it reads one coefficient per point, not the whole product.  A
-    sampler that draws several arrays per call, such as magnitudes and then
-    signs, takes them block by block: the law of the draws is that of one
-    whole-chunk call, but not their bits.
+    max(1, 2^16 // max(m, n)), and each yielded block is reduced before the
+    next is drawn, so a chunk never holds its count x n coefficients, a
+    count x m product or two coefficient blocks.  ``_sups_reader`` reduces a
+    block: on points that each lie on a coordinate axis it reads one
+    coefficient per point, not the whole product.  A sampler that draws
+    several arrays per call, such as magnitudes and then signs, takes them
+    block by block: the law of the draws is that of one whole-chunk call, but
+    not their bits.
     """
     row_sups, n = _sups_reader(pset), pset.dim
 
     def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
-        return row_sups(coefficients(rng, rows, n))
+        return np.stack(list(map(row_sups, coefficient_blocks(rng, rows, n))), axis=1)
 
-    mean, stderr = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))
-    return SupEstimate(mean=mean, stderr=stderr, samples=samples, seed=stream.seed)
+    means, stderrs = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))
+    return [
+        SupEstimate(mean=float(mean), stderr=float(stderr), samples=samples, seed=stream.seed)
+        for mean, stderr in zip(means, stderrs)
+    ]
 
 
 def esup_mc(
@@ -261,7 +267,9 @@ def esup_mc(
     workers: int = 1,
 ) -> SupEstimate:
     """E sup_{t in T} sum_k t_k X_k by Monte Carlo over independent draws."""
-    return _esup(pset, driver.coefficients, samples, stream, workers)
+    (est,) = _esup(pset, lambda rng, rows, n: [driver.coefficients(rng, rows, n)],
+                   samples, stream, workers)
+    return est
 
 
 def esup_rep_mc(
@@ -310,13 +318,10 @@ def esup_permuted_prefixes(
     A draw permutes the coordinate indices, idx, and not the weights: the
     generator shuffles a tiled ``arange(n)`` exactly as it shuffles the tiled
     weights, so g * masked[idx] is the coefficient row of each prefix's mask.
-    ``_mc_mean`` hands each chunk's rows over in blocks of
-    max(1, 2^16 // max(m, n)).  A block draws its g and idx and takes its
-    prefixes one at a time, forming a prefix's coefficients just before
-    ``_sups_reader``'s reader reduces them (in O(m) per row on points that
-    each lie on a coordinate axis): beside the block's g and idx it holds one
-    block of coefficients and one of the product, never a (count, n) array
-    or a (count, m) product.
+    A block of rows draws its g and idx and yields its prefixes' coefficients
+    one at a time to ``_esup``, which reduces each before the next is formed:
+    beside the block's g and idx it holds one block of coefficients and one of
+    the product, never a (count, n) array or a (count, m) product.
     """
     a = np.asarray(weights, dtype=np.float64)
     n = pset.dim
@@ -328,21 +333,14 @@ def esup_permuted_prefixes(
         if not 1 <= prefix_len <= n:
             raise ValueError(f"prefix length must lie in [1, {n}], got {prefix_len}")
     masks = [np.where(np.arange(n) < prefix_len, a, 0.0) for prefix_len in prefix_lens]
-    row_sups = _sups_reader(pset)
 
-    def block_sups(rng: np.random.Generator, rows: int) -> np.ndarray:
+    def coefficient_blocks(rng: np.random.Generator, rows: int, n: int) -> Iterable[np.ndarray]:
         g = rng.standard_normal((rows, n))
         idx = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
-        sups = np.empty((rows, len(masks)))
-        for k, masked in enumerate(masks):
-            sups[:, k] = row_sups(g * masked[idx])
-        return sups
+        for masked in masks:
+            yield g * masked[idx]
 
-    means, stderrs = _mc_mean(block_sups, samples, stream, workers, max(pset.m, n))
-    return [
-        SupEstimate(mean=float(mean), stderr=float(stderr), samples=samples, seed=stream.seed)
-        for mean, stderr in zip(means, stderrs)
-    ]
+    return _esup(pset, coefficient_blocks, samples, stream, workers)
 
 
 def rearrange_nonincreasing(values) -> np.ndarray:

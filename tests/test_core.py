@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import threading
@@ -434,11 +433,20 @@ def axis_sets(draw, max_m: int = 24, max_n: int = 6) -> np.ndarray:
 def walked(pts: np.ndarray, metric: Metric) -> np.ndarray:
     """The pair walk's matrix, at the block height ``pairwise_distance_matrix`` uses."""
     rows = max(1, 2**16 // pts.size)
-    return core._distance_matrices(pts, metric, rows, functools.partial(core._row_norms, metric=metric))
+    return core._distance_matrices(
+        pts, metric, rows, lambda diff, pts, i0: core._row_norms(diff, metric)
+    )
 
 
-def not_walked(*args):
-    raise AssertionError("an axis set was walked")
+walk = core._distance_matrices
+
+
+def not_walked(pts: np.ndarray, *args) -> np.ndarray:
+    """The walker, except that an axis set's own (m, n) coordinates, n > 1, may not
+    reach it: the axis reduction walks the (m, 1) values."""
+    if pts.shape[1] > 1:
+        raise AssertionError("an axis set was walked")
+    return walk(pts, *args)
 
 
 class TestAxisSets:
@@ -507,6 +515,55 @@ class TestAxisSets:
         with mock.patch.object(core, "_distance_matrices", not_walked):
             with pytest.raises(AssertionError, match="walked"):
                 pairwise_distance_matrix(pts, Metric.lp(1.5))
+
+
+@st.composite
+def dense_sets(draw, max_m: int = 24, max_n: int = 6) -> np.ndarray:
+    """Points with duplicate rows, +-0 and entries near 1e300 and 1e-300."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+    special = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -3e-300])
+    entry = st.one_of(st.floats(-10.0, 10.0), special)
+    pts = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3)):
+        pts[i] = pts[j]
+    return pts
+
+
+def at_block_height(rows: int):
+    """The walker, walking in blocks of ``rows`` rows whatever height it is given."""
+    return lambda pts, metric, _, reduce: walk(pts, metric, rows, reduce)
+
+
+class TestBlockHeight:
+    # The weighted reduction is left out: its block height is part of its result,
+    # as BLAS fixes the bits of a matrix-vector product by its shape (rows 2, 3, 7,
+    # 31 and 511 of a 4096-row OpenBLAS gemv have other bits when the product is
+    # taken on only that many rows).
+    def check(self, pts: np.ndarray, metrics) -> None:
+        for metric in metrics:
+            try:
+                expected = pairwise_distance_matrix(pts, metric).tobytes()
+            except ValueError as exc:
+                expected = str(exc)
+            for rows in (1, 2, 3, 7, len(pts)):
+                with mock.patch.object(core, "_distance_matrices", at_block_height(rows)):
+                    try:
+                        got = pairwise_distance_matrix(pts, metric).tobytes()
+                    except ValueError as exc:
+                        got = str(exc)
+                assert got == expected, (metric, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=dense_sets())
+    @example(pts=np.array([[1e300, 0.0], [-1e300, 1e-300], [0.0, -0.0], [1e300, 0.0]]))
+    def test_lp_matrices_have_the_same_bits_at_any_height(self, pts):
+        self.check(pts, (Metric.l2(), Metric.linf(), Metric.lp(1.5)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=axis_sets())
+    def test_axis_matrices_have_the_same_bits_at_any_height(self, pts):
+        assert core._axis_form(pts) is not None
+        self.check(pts, (Metric.l2(), Metric.linf()))
 
 
 class TestPointsWithoutCoordinates:

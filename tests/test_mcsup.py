@@ -589,9 +589,9 @@ class TestPermutedWeighted:
 
             def coefficients(rng, count, n, masked=masked):
                 g = rng.standard_normal((count, n))
-                return g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
+                yield g * rng.permuted(np.tile(masked, (count, 1)), axis=1)
 
-            expected = _esup(ps, coefficients, 5000, RandomStream(6), 1)
+            (expected,) = _esup(ps, coefficients, 5000, RandomStream(6), 1)
             assert esup_permuted_weighted(ps, a, prefix_len, 5000, RandomStream(6)) == expected
 
     def test_prefix_list_bounds(self):
